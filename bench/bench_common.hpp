@@ -3,12 +3,14 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <string>
 
 #include "common/cli.hpp"
 #include "common/format.hpp"
+#include "common/status.hpp"
 #include "common/table.hpp"
 #include "cudax/pinned_pool.hpp"
 #include "mandel/iteration_map.hpp"
@@ -61,6 +63,18 @@ inline mandel::IterationMap load_map(const CliArgs& args,
     std::exit(1);
   }
   return std::move(map).value();
+}
+
+/// Unwraps a modeled run. The benches only build valid configurations, so
+/// an error here is a bug: print it and exit 1 rather than report garbage.
+template <typename T>
+T ok_or_exit(Result<T> r) {
+  if (!r.ok()) {
+    std::fprintf(stderr, "[bench] modeled run rejected: %s\n",
+                 r.status().ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(r).value();
 }
 
 /// "12.3x" speedup cell.

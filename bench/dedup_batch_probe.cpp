@@ -37,6 +37,7 @@
 #include <sstream>
 
 #include "bench_common.hpp"
+#include "cluster/modeled.hpp"
 #include "datagen/corpus.hpp"
 #include "dedup/dup_store.hpp"
 #include "dedup/modeled.hpp"
@@ -170,7 +171,8 @@ int run_adaptive(std::span<const std::uint8_t> input, int replicas,
       cfg.dedup.rabin.max_block =
           std::min<std::uint32_t>(65536, static_cast<std::uint32_t>(batch));
       dedup::DedupTrace trace = dedup::build_trace(input, cfg.dedup);
-      auto r = run_fig5(trace, cfg, dedup::Fig5Backend::kSparOcl);
+      auto r = benchtool::ok_or_exit(
+          cluster::run_fig5(trace, cfg, dedup::Fig5Backend::kSparOcl));
       throughput = format_fixed(r.throughput_mb_s, 1) + " MB/s";
       sizer.on_success(r.modeled_seconds /
                        static_cast<double>(input.size()));
@@ -308,7 +310,8 @@ int run(int argc, const char** argv) {
     std::string nbatches = "-";
     if (fits) {
       dedup::DedupTrace trace = dedup::build_trace(input, cfg.dedup);
-      auto r = run_fig5(trace, cfg, dedup::Fig5Backend::kSparOcl);
+      auto r = benchtool::ok_or_exit(
+          cluster::run_fig5(trace, cfg, dedup::Fig5Backend::kSparOcl));
       throughput = format_fixed(r.throughput_mb_s, 1) + " MB/s";
       nbatches = std::to_string(trace.batches.size());
     } else {

@@ -37,7 +37,8 @@
 #include "bench_common.hpp"
 #include "cudax/cudax.hpp"
 #include "gpusim/fault_plan.hpp"
-#include "mandel/calibrate.hpp"
+#include "cluster/calibrate.hpp"
+#include "cluster/modeled.hpp"
 #include "mandel/modeled.hpp"
 #include "mandel/pipelines.hpp"
 #include "sched/sched.hpp"
@@ -45,11 +46,12 @@
 namespace hs {
 namespace {
 
+using benchtool::ok_or_exit;
 using benchtool::speedup_cell;
+using cluster::RunResult;
 using mandel::GpuApi;
 using mandel::GpuMode;
 using mandel::ModeledConfig;
-using mandel::RunResult;
 
 struct PaperRef {
   const char* time;
@@ -185,16 +187,23 @@ int run(int argc, const char** argv) {
   ModeledConfig cfg;
   cfg.batch_lines = static_cast<int>(batch_or.value());
   if (args.get_bool("calibrate", true)) {
-    cfg = mandel::calibrate_to_paper(map, {}, cfg);
+    cfg = cluster::calibrate_to_paper(map, {}, cfg);
   }
   const std::string trace_dir = args.get_string("trace-dir", "");
   int trace_seq = 0;
-  auto with_trace = [&](ModeledConfig c, const std::string& name) {
+  auto traced = [&](const std::string& name) {
+    cluster::RunOptions opts;
     if (!trace_dir.empty()) {
-      c.trace_path = trace_dir + "/fig1_" + std::to_string(trace_seq++) +
-                     "_" + name + ".json";
+      opts.trace_path = trace_dir + "/fig1_" + std::to_string(trace_seq++) +
+                        "_" + name + ".json";
     }
-    return c;
+    return opts;
+  };
+  // Every modeled row: the GPU single-thread ladder, optionally traced.
+  auto gpu = [&](const ModeledConfig& c, GpuApi api, GpuMode mode,
+                 const cluster::RunOptions& opts = {}) {
+    return ok_or_exit(
+        cluster::run_gpu_single_thread(map, c, api, mode, opts));
   };
 
   Table table("Fig. 1 — Optimizing Mandelbrot Streaming (modeled)");
@@ -210,7 +219,8 @@ int run(int argc, const char** argv) {
   };
   std::vector<JsonRow> json_rows;
 
-  RunResult seq = run_sequential(map, with_trace(cfg, "sequential"));
+  RunResult seq =
+      ok_or_exit(cluster::run_sequential(map, cfg, traced("sequential")));
   double base = seq.modeled_seconds;
   bool mismatch = false;
   auto add = [&](const RunResult& r, PaperRef ref) {
@@ -233,50 +243,44 @@ int run(int argc, const char** argv) {
   {
     ModeledConfig c = cfg;
     c.cpu_workers = 20;
-    auto r = run_cpu_pipeline(map, c, mandel::CpuModel::kSpar);
+    RunResult r = ok_or_exit(
+        cluster::run_cpu_pipeline(map, c, mandel::CpuModel::kSpar));
     r.label = "cpu 20 threads (spar)";
     add(r, {"~23.5s", "17x"});
   }
   table.add_separator();
-  add(run_gpu_single_thread(map, with_trace(cfg, "per_line"), GpuApi::kCuda,
-                            GpuMode::kPerLine1D),
+  add(gpu(cfg, GpuApi::kCuda, GpuMode::kPerLine1D, traced("per_line")),
       {"129s", "3.1x"});
-  add(run_gpu_single_thread(map, with_trace(cfg, "2d"), GpuApi::kCuda,
-                            GpuMode::kPerLine2D),
+  add(gpu(cfg, GpuApi::kCuda, GpuMode::kPerLine2D, traced("2d")),
       {"250s", "1.6x"});
-  add(run_gpu_single_thread(map, with_trace(cfg, "batch32"), GpuApi::kCuda,
-                            GpuMode::kBatched),
+  add(gpu(cfg, GpuApi::kCuda, GpuMode::kBatched, traced("batch32")),
       {"8.9s", "45x"});
-  add(run_gpu_single_thread(map, cfg, GpuApi::kOpenCl, GpuMode::kBatched),
-      {"9.1s", "44x"});
+  add(gpu(cfg, GpuApi::kOpenCl, GpuMode::kBatched), {"9.1s", "44x"});
   {
-    ModeledConfig c = with_trace(cfg, "batch32_2buf");
+    ModeledConfig c = cfg;
     c.buffers_per_gpu = 2;
-    add(run_gpu_single_thread(map, c, GpuApi::kCuda, GpuMode::kBatched),
+    add(gpu(c, GpuApi::kCuda, GpuMode::kBatched, traced("batch32_2buf")),
         {"5.98s", "67x"});
   }
   {
     ModeledConfig c = cfg;
     c.buffers_per_gpu = 4;
-    add(run_gpu_single_thread(map, c, GpuApi::kCuda, GpuMode::kBatched),
-        {"5.4s", "74x"});
+    add(gpu(c, GpuApi::kCuda, GpuMode::kBatched), {"5.4s", "74x"});
   }
   table.add_separator();
   {
     ModeledConfig c = cfg;
     c.devices = 2;
     c.buffers_per_gpu = 1;
-    add(run_gpu_single_thread(map, c, GpuApi::kCuda, GpuMode::kBatched),
-        {"4.48s", "89x"});
+    add(gpu(c, GpuApi::kCuda, GpuMode::kBatched), {"4.48s", "89x"});
   }
   {
-    ModeledConfig c = with_trace(cfg, "batch32_2buf_2gpu");
+    ModeledConfig c = cfg;
     c.devices = 2;
     c.buffers_per_gpu = 2;
-    add(run_gpu_single_thread(map, c, GpuApi::kCuda, GpuMode::kBatched),
+    add(gpu(c, GpuApi::kCuda, GpuMode::kBatched, traced("batch32_2buf_2gpu")),
         {"3.02s", "132x"});
-    auto r = run_gpu_single_thread(map, c, GpuApi::kOpenCl, GpuMode::kBatched);
-    add(r, {"3.07s", "130x"});
+    add(gpu(c, GpuApi::kOpenCl, GpuMode::kBatched), {"3.07s", "130x"});
   }
 
   // Adaptive rows: the AIMD sizer discovers the batch size and multi-GPU
@@ -287,9 +291,10 @@ int run(int argc, const char** argv) {
   if (sched_mode == sched::SchedMode::kAdaptive) {
     table.add_separator();
     {
-      ModeledConfig c = with_trace(cfg, "adaptive");
+      ModeledConfig c = cfg;
       c.sched = sched::SchedMode::kAdaptive;
-      auto r = run_gpu_single_thread(map, c, GpuApi::kCuda, GpuMode::kBatched);
+      RunResult r =
+          gpu(c, GpuApi::kCuda, GpuMode::kBatched, traced("adaptive"));
       adaptive_lines = r.adaptive_batch_lines;
       add(r, {"-", "-"});
     }
@@ -297,26 +302,24 @@ int run(int argc, const char** argv) {
       ModeledConfig c = cfg;
       c.sched = sched::SchedMode::kAdaptive;
       c.buffers_per_gpu = 2;
-      add(run_gpu_single_thread(map, c, GpuApi::kCuda, GpuMode::kBatched),
-          {"-", "-"});
+      add(gpu(c, GpuApi::kCuda, GpuMode::kBatched), {"-", "-"});
     }
     {
       ModeledConfig c = cfg;
       c.sched = sched::SchedMode::kAdaptive;
       c.devices = 2;
       c.buffers_per_gpu = 1;
-      add(run_gpu_single_thread(map, c, GpuApi::kCuda, GpuMode::kBatched),
-          {"-", "-"});
+      add(gpu(c, GpuApi::kCuda, GpuMode::kBatched), {"-", "-"});
     }
     {
-      ModeledConfig c = with_trace(cfg, "adaptive_2buf_2gpu");
+      ModeledConfig c = cfg;
       c.sched = sched::SchedMode::kAdaptive;
       c.devices = 2;
       c.buffers_per_gpu = 2;
-      add(run_gpu_single_thread(map, c, GpuApi::kCuda, GpuMode::kBatched),
+      add(gpu(c, GpuApi::kCuda, GpuMode::kBatched,
+              traced("adaptive_2buf_2gpu")),
           {"-", "-"});
-      add(run_gpu_single_thread(map, c, GpuApi::kOpenCl, GpuMode::kBatched),
-          {"-", "-"});
+      add(gpu(c, GpuApi::kOpenCl, GpuMode::kBatched), {"-", "-"});
     }
   }
 

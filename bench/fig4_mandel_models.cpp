@@ -25,7 +25,8 @@
 #include "bench_common.hpp"
 #include "cudax/cudax.hpp"
 #include "gpusim/device.hpp"
-#include "mandel/calibrate.hpp"
+#include "cluster/calibrate.hpp"
+#include "cluster/modeled.hpp"
 #include "mandel/modeled.hpp"
 #include "mandel/pipelines.hpp"
 #include "sched/sched.hpp"
@@ -33,12 +34,13 @@
 namespace hs {
 namespace {
 
+using benchtool::ok_or_exit;
 using benchtool::speedup_cell;
+using cluster::RunResult;
 using mandel::CpuModel;
 using mandel::GpuApi;
 using mandel::GpuMode;
 using mandel::ModeledConfig;
-using mandel::RunResult;
 
 /// --trace/--metrics demo: the real (functional) pipelines of two of the
 /// figure's models — the TBB-equivalent token pipeline and SPar+CUDA —
@@ -105,7 +107,7 @@ int run(int argc, const char** argv) {
   ModeledConfig cfg;
   cfg.batch_lines = static_cast<int>(batch_or.value());
   if (args.get_bool("calibrate", true)) {
-    cfg = mandel::calibrate_to_paper(map, {}, cfg);
+    cfg = cluster::calibrate_to_paper(map, {}, cfg);
   }
   cfg.cpu_workers = static_cast<int>(cpu_workers_or.value());
   cfg.combined_workers = static_cast<int>(combined_workers_or.value());
@@ -122,7 +124,7 @@ int run(int argc, const char** argv) {
   };
   std::vector<JsonRow> json_rows;
 
-  RunResult seq = run_sequential(map, cfg);
+  RunResult seq = ok_or_exit(cluster::run_sequential(map, cfg));
   bool mismatch = false;
   auto add = [&](RunResult r, const std::string& label = "") {
     if (!label.empty()) r.label = label;
@@ -147,7 +149,7 @@ int run(int argc, const char** argv) {
     c.tbb_tokens = 38;
     for (CpuModel m :
          {CpuModel::kSpar, CpuModel::kTbb, CpuModel::kFastFlow}) {
-      add(run_cpu_pipeline(map, c, m));
+      add(ok_or_exit(cluster::run_cpu_pipeline(map, c, m)));
     }
   }
   table.add_separator();
@@ -159,7 +161,8 @@ int run(int argc, const char** argv) {
     c.devices = devices;
     c.buffers_per_gpu = 4 / devices;  // 4x total memory, as in §IV-A
     for (GpuApi api : {GpuApi::kCuda, GpuApi::kOpenCl}) {
-      add(run_gpu_single_thread(map, c, api, GpuMode::kBatched));
+      add(ok_or_exit(
+            cluster::run_gpu_single_thread(map, c, api, GpuMode::kBatched)));
     }
   }
   table.add_separator();
@@ -172,7 +175,7 @@ int run(int argc, const char** argv) {
     for (CpuModel m :
          {CpuModel::kSpar, CpuModel::kTbb, CpuModel::kFastFlow}) {
       for (GpuApi api : {GpuApi::kCuda, GpuApi::kOpenCl}) {
-        add(run_combined(map, c, m, api));
+        add(ok_or_exit(cluster::run_combined(map, c, m, api)));
       }
     }
     if (devices == 1) table.add_separator();
@@ -190,7 +193,8 @@ int run(int argc, const char** argv) {
       c.devices = devices;
       c.buffers_per_gpu = 4 / devices;
       for (GpuApi api : {GpuApi::kCuda, GpuApi::kOpenCl}) {
-        add(run_gpu_single_thread(map, c, api, GpuMode::kBatched));
+        add(ok_or_exit(
+            cluster::run_gpu_single_thread(map, c, api, GpuMode::kBatched)));
       }
     }
     table.add_separator();
@@ -202,7 +206,7 @@ int run(int argc, const char** argv) {
       for (CpuModel m :
            {CpuModel::kSpar, CpuModel::kTbb, CpuModel::kFastFlow}) {
         for (GpuApi api : {GpuApi::kCuda, GpuApi::kOpenCl}) {
-          auto r = run_combined(map, c, m, api);
+          RunResult r = ok_or_exit(cluster::run_combined(map, c, m, api));
           if (m == CpuModel::kSpar && api == GpuApi::kCuda) {
             std::fprintf(stderr,
                          "[bench] combined adaptive %dgpu: sizer at %llu "

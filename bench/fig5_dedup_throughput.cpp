@@ -52,6 +52,7 @@
 #include "kernels/simd/dispatch.hpp"
 
 #include "bench_common.hpp"
+#include "cluster/modeled.hpp"
 #include "cudax/cudax.hpp"
 #include "datagen/corpus.hpp"
 #include "dedup/container.hpp"
@@ -63,9 +64,10 @@
 namespace hs {
 namespace {
 
+using benchtool::ok_or_exit;
+using cluster::RunResult;
 using dedup::Fig5Backend;
 using dedup::Fig5Config;
-using dedup::Fig5Result;
 
 /// --faults demo: the real (functional) SPar+CUDA archiver under an
 /// injected fault plan must still produce an archive whose extraction is
@@ -455,7 +457,7 @@ int run(int argc, const char** argv) {
     table.set_header({"version", "modeled time", "throughput", "kernels"});
 
     auto add = [&](const Fig5Config& c, Fig5Backend backend) {
-      Fig5Result r = run_fig5(trace, c, backend);
+      RunResult r = ok_or_exit(cluster::run_fig5(trace, c, backend));
       table.add_row({r.label, format_seconds(r.modeled_seconds),
                      format_fixed(r.throughput_mb_s, 1) + " MB/s",
                      r.kernel_launches ? std::to_string(r.kernel_launches)
@@ -497,7 +499,8 @@ int run(int argc, const char** argv) {
       table.add_separator();
       // DESIGN.md §4.3 ablation: PARSEC's original variable-size batches
       // (content-defined boundaries) instead of the fixed-size refactor.
-      Fig5Result r = run_fig5(var_trace, cfg, Fig5Backend::kSparCuda);
+      RunResult r =
+          ok_or_exit(cluster::run_fig5(var_trace, cfg, Fig5Backend::kSparCuda));
       table.add_row({r.label + " variable-batches",
                      format_seconds(r.modeled_seconds),
                      format_fixed(r.throughput_mb_s, 1) + " MB/s",

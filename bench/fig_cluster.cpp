@@ -2,14 +2,15 @@
 // a simulated multi-node cluster, comparing round-robin, byte-greedy, and
 // makespan-aware stage placement.
 //
-// On every invocation the bench first proves the 1-node topology byte-
-// identical to the single-host modeled runners (same modeled seconds,
-// throughput, checksum and kernel-launch counts, compared with exact
-// floating-point equality) and exits non-zero on any divergence — the
-// cluster layer is a strict superset of the single-host model, not a fork.
-// The 1-node dedup SPar+CUDA and mandel combined runs double as profiling
-// runs: they fill the stage graphs' measured per-stage compute profiles
-// (StageCompute) that power the makespan estimator and place_makespan.
+// On every invocation the bench first proves a default single-host call
+// byte-identical to an explicit full_mesh(1) call of the same runner (same
+// label, modeled seconds, throughput, checksum and kernel-launch counts,
+// compared with exact floating-point equality) and exits non-zero on any
+// divergence — the single host is the 1-node case of the one modeled
+// schedule, not a fork. The 1-node dedup SPar+CUDA and mandel combined
+// runs double as profiling runs: they fill the stage graphs' measured
+// per-stage compute profiles (StageCompute) that power the makespan
+// estimator and place_makespan.
 //
 // It then sweeps node counts — 1/2/4/8 homogeneous full meshes plus two
 // heterogeneous parsed-spec topologies (unequal GPUs per node incl. a
@@ -48,19 +49,20 @@
 #include <sstream>
 
 #include "bench_common.hpp"
+#include "cluster/calibrate.hpp"
 #include "cluster/makespan.hpp"
 #include "cluster/modeled.hpp"
 #include "datagen/corpus.hpp"
 #include "dedup/modeled.hpp"
-#include "mandel/calibrate.hpp"
 #include "mandel/modeled.hpp"
 
 namespace hs {
 namespace {
 
-using cluster::ClusterRunOptions;
-using cluster::ClusterRunResult;
+using benchtool::ok_or_exit;
 using cluster::Placement;
+using cluster::RunOptions;
+using cluster::RunResult;
 using cluster::StageGraph;
 using cluster::Topology;
 using dedup::Fig5Backend;
@@ -133,24 +135,25 @@ Topology with_device_spec(Topology topo, const gpusim::DeviceSpec& spec) {
   return topo;
 }
 
-/// Exact-equality comparison of a single-host result against the 1-node
-/// cluster rerun. Doubles are compared with ==: the cluster runner must
+/// Exact-equality comparison of a default single-host run against the
+/// explicit 1-node rerun. Doubles are compared with ==: both calls must
 /// submit the identical op sequence, so the schedules are the same maths.
-bool check_equal(const std::string& what, const std::string& label_host,
-                 const std::string& label_cluster, double sec_host,
-                 double sec_cluster, std::uint64_t aux_host,
-                 std::uint64_t aux_cluster) {
-  if (label_host == label_cluster && sec_host == sec_cluster &&
-      aux_host == aux_cluster) {
+bool check_equal(const std::string& what, const RunResult& host,
+                 const RunResult& one) {
+  if (host.label == one.label && host.modeled_seconds == one.modeled_seconds &&
+      host.throughput_mb_s == one.throughput_mb_s &&
+      host.checksum == one.checksum &&
+      host.kernel_launches == one.kernel_launches) {
     return true;
   }
-  std::cerr << "[bench] 1-NODE EQUIVALENCE FAILURE (" << what << "):\n"
-            << "  single-host: label='" << label_host << "' seconds="
-            << std::hexfloat << sec_host << std::defaultfloat
-            << " aux=" << aux_host << "\n"
-            << "  1-node:      label='" << label_cluster << "' seconds="
-            << std::hexfloat << sec_cluster << std::defaultfloat
-            << " aux=" << aux_cluster << "\n";
+  for (const RunResult* r : {&host, &one}) {
+    std::cerr << "[bench] 1-NODE EQUIVALENCE FAILURE (" << what << "): "
+              << (r == &host ? "single-host" : "1-node     ") << " label='"
+              << r->label << "' seconds=" << std::hexfloat
+              << r->modeled_seconds << std::defaultfloat
+              << " checksum=" << r->checksum
+              << " kernels=" << r->kernel_launches << "\n";
+  }
   return false;
 }
 
@@ -287,7 +290,7 @@ int run(int argc, const char** argv) {
   mcfg.batch_lines = static_cast<int>(batch_or.value());
   mcfg.devices = gpus;
   if (args.get_bool("calibrate", true)) {
-    mcfg = mandel::calibrate_to_paper(map, {}, mcfg);
+    mcfg = cluster::calibrate_to_paper(map, {}, mcfg);
     mcfg.devices = gpus;
   }
 
@@ -295,70 +298,58 @@ int run(int argc, const char** argv) {
   StageGraph mgraph = cluster::mandel_stage_graph(
       params.dim, mcfg.batch_lines, mcfg.combined_workers, true);
 
-  // ---- 1-node equivalence: cluster == single-host, bit for bit ---------
+  // ---- 1-node equivalence: default host == full_mesh(1), bit for bit ----
   // The SPar+CUDA dedup and combined-CUDA mandel runs also profile the
-  // stage graphs (ClusterRunOptions::profile) — measurement is pure
-  // observation, so the exact-equality checks double as proof that
-  // profiling never perturbs the schedule.
-  ClusterRunOptions one_node;
+  // stage graphs (RunOptions::profile) — measurement is pure observation,
+  // so the exact-equality checks double as proof that profiling never
+  // perturbs the schedule.
+  RunOptions one_node;
   one_node.topo = mesh(1, dcfg.device_spec);
-  ClusterRunOptions one_node_m;
+  RunOptions one_node_m;
   one_node_m.topo = mesh(1, mcfg.device_spec);
   bool equiv_ok = true;
   {
     for (Fig5Backend b : {Fig5Backend::kSequential, Fig5Backend::kSparCpu,
                           Fig5Backend::kSparCuda, Fig5Backend::kSparOcl}) {
-      dedup::Fig5Result host = dedup::run_fig5(trace, dcfg, b);
-      ClusterRunOptions opts = one_node;
+      RunOptions opts = one_node;
       if (b == Fig5Backend::kSparCuda) opts.profile = &dgraph;
-      ClusterRunResult one = cluster::run_fig5_cluster(trace, dcfg, b, opts);
-      equiv_ok &= check_equal(
-          "dedup " + host.label, host.label, one.label, host.modeled_seconds,
-          one.modeled_seconds, host.kernel_launches, one.kernel_launches);
+      const RunResult host = ok_or_exit(cluster::run_fig5(trace, dcfg, b));
+      equiv_ok &= check_equal("dedup " + host.label, host,
+                              ok_or_exit(cluster::run_fig5(trace, dcfg, b,
+                                                           opts)));
     }
     {
       dedup::Fig5Config c = dcfg;
       c.mem_spaces = 2;
-      dedup::Fig5Result host =
-          dedup::run_fig5(trace, c, Fig5Backend::kSparCuda);
-      ClusterRunResult one = cluster::run_fig5_cluster(
-          trace, c, Fig5Backend::kSparCuda, one_node);
+      const RunResult host =
+          ok_or_exit(cluster::run_fig5(trace, c, Fig5Backend::kSparCuda));
       equiv_ok &= check_equal(
-          "dedup " + host.label, host.label, one.label, host.modeled_seconds,
-          one.modeled_seconds, host.kernel_launches, one.kernel_launches);
+          "dedup " + host.label, host,
+          ok_or_exit(cluster::run_fig5(trace, c, Fig5Backend::kSparCuda,
+                                       one_node)));
     }
 
-    mandel::RunResult seq = mandel::run_sequential(map, mcfg);
-    ClusterRunResult seq1 =
-        cluster::run_mandel_sequential_cluster(map, mcfg, one_node_m);
-    equiv_ok &= check_equal("mandel sequential", seq.label, seq1.label,
-                            seq.modeled_seconds, seq1.modeled_seconds,
-                            seq.checksum, seq1.checksum);
+    equiv_ok &= check_equal(
+        "mandel sequential", ok_or_exit(cluster::run_sequential(map, mcfg)),
+        ok_or_exit(cluster::run_sequential(map, mcfg, one_node_m)));
 
     mandel::ModeledConfig c20 = mcfg;
     c20.cpu_workers = 20;
-    mandel::RunResult cpu =
-        mandel::run_cpu_pipeline(map, c20, mandel::CpuModel::kSpar);
-    ClusterRunResult cpu1 =
-        cluster::run_mandel_cpu_cluster(map, c20, one_node_m);
-    equiv_ok &= check_equal("mandel spar cpu", cpu.label, cpu1.label,
-                            cpu.modeled_seconds, cpu1.modeled_seconds,
-                            cpu.checksum, cpu1.checksum);
+    equiv_ok &= check_equal(
+        "mandel spar cpu",
+        ok_or_exit(cluster::run_cpu_pipeline(map, c20, mandel::CpuModel::kSpar)),
+        ok_or_exit(cluster::run_cpu_pipeline(map, c20, mandel::CpuModel::kSpar,
+                                             one_node_m)));
 
     for (mandel::GpuApi api : {mandel::GpuApi::kCuda, mandel::GpuApi::kOpenCl}) {
-      mandel::RunResult comb =
-          mandel::run_combined(map, mcfg, mandel::CpuModel::kSpar, api);
-      ClusterRunOptions opts = one_node_m;
+      RunOptions opts = one_node_m;
       if (api == mandel::GpuApi::kCuda) opts.profile = &mgraph;
-      ClusterRunResult comb1 =
-          cluster::run_mandel_combined_cluster(map, mcfg, api, opts);
-      equiv_ok &= check_equal("mandel " + comb.label, comb.label, comb1.label,
-                              comb.modeled_seconds, comb1.modeled_seconds,
-                              comb.checksum, comb1.checksum);
-      equiv_ok &= check_equal("mandel " + comb.label + " kernels", comb.label,
-                              comb1.label, comb.modeled_seconds,
-                              comb1.modeled_seconds, comb.kernel_launches,
-                              comb1.kernel_launches);
+      const RunResult host = ok_or_exit(
+          cluster::run_combined(map, mcfg, mandel::CpuModel::kSpar, api));
+      equiv_ok &= check_equal(
+          "mandel " + host.label, host,
+          ok_or_exit(cluster::run_combined(map, mcfg, mandel::CpuModel::kSpar,
+                                           api, opts)));
     }
   }
   if (!equiv_ok) return 1;
@@ -408,14 +399,14 @@ int run(int argc, const char** argv) {
         pr.predicted_cross_bytes =
             cluster::predicted_cross_bytes(graph, placement, topo);
         pr.estimated_makespan_s = est.estimate(placement);
-        ClusterRunOptions opts;
+        RunOptions opts;
         opts.topo = topo;
         opts.placement = placement;
         if (!trace_path.empty() && &cell == &cells.back() &&
             std::string(workload) == "dedup-spar+cuda" && pname == "greedy") {
           opts.trace_path = trace_path;
         }
-        ClusterRunResult r = run_one(opts);
+        RunResult r = run_one(opts);
         pr.modeled_seconds = r.modeled_seconds;
         // Bytes pin, exact: the fabric's non-shard traffic must be what
         // the placement byte estimator predicted.
@@ -452,13 +443,13 @@ int run(int argc, const char** argv) {
 
     sweep(
         dtopo, dgraph, "dedup-spar+cuda",
-        [&](const ClusterRunOptions& opts) {
-          return cluster::run_fig5_cluster(trace, dcfg,
-                                           Fig5Backend::kSparCuda, opts);
+        [&](const RunOptions& opts) {
+          return ok_or_exit(
+              cluster::run_fig5(trace, dcfg, Fig5Backend::kSparCuda, opts));
         },
         dtable,
         [&](Table& t, const char* pname, const PlacerResult& pr,
-            const ClusterRunResult& r) {
+            const RunResult& r) {
           t.add_row({cell.name, pname,
                      std::to_string(pr.predicted_cross_bytes),
                      format_seconds(pr.estimated_makespan_s),
@@ -468,13 +459,14 @@ int run(int argc, const char** argv) {
 
     sweep(
         mtopo, mgraph, "mandel-combined-cuda",
-        [&](const ClusterRunOptions& opts) {
-          return cluster::run_mandel_combined_cluster(
-              map, mcfg, mandel::GpuApi::kCuda, opts);
+        [&](const RunOptions& opts) {
+          return ok_or_exit(cluster::run_combined(
+              map, mcfg, mandel::CpuModel::kSpar, mandel::GpuApi::kCuda,
+              opts));
         },
         mtable,
         [&](Table& t, const char* pname, const PlacerResult& pr,
-            const ClusterRunResult& r) {
+            const RunResult& r) {
           if (mandel_base == 0) mandel_base = r.modeled_seconds;
           t.add_row({cell.name, pname,
                      std::to_string(pr.predicted_cross_bytes),

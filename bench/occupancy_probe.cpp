@@ -12,7 +12,8 @@
 #include <sstream>
 
 #include "bench_common.hpp"
-#include "mandel/calibrate.hpp"
+#include "cluster/calibrate.hpp"
+#include "cluster/modeled.hpp"
 #include "mandel/modeled.hpp"
 
 namespace hs {
@@ -63,14 +64,15 @@ int run(int argc, const char** argv) {
   for (int batch : batches) {
     mandel::ModeledConfig cfg;
     if (args.get_bool("calibrate", true)) {
-      cfg = mandel::calibrate_to_paper(map, {}, cfg);
+      cfg = cluster::calibrate_to_paper(map, {}, cfg);
     }
     cfg.batch_lines = batch;
     cfg.buffers_per_gpu = 2;
     if (sum_model) cfg.divergence = gpusim::DivergenceModel::kSumLane;
     cfg.copy_compute_overlap = !no_overlap;
-    mandel::RunResult r = run_gpu_single_thread(
-        map, cfg, mandel::GpuApi::kCuda, mandel::GpuMode::kBatched);
+    cluster::RunResult r =
+        benchtool::ok_or_exit(cluster::run_gpu_single_thread(
+            map, cfg, mandel::GpuApi::kCuda, mandel::GpuMode::kBatched));
     if (base == 0) base = r.modeled_seconds;
     table.add_row({std::to_string(batch), format_seconds(r.modeled_seconds),
                    benchtool::speedup_cell(base, r.modeled_seconds),

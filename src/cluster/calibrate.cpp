@@ -1,8 +1,16 @@
-#include "mandel/calibrate.hpp"
+#include "cluster/calibrate.hpp"
+
 
 #include <algorithm>
 
-namespace hs::mandel {
+#include "cluster/modeled.hpp"
+
+namespace hs::cluster {
+
+using mandel::GpuApi;
+using mandel::GpuMode;
+using mandel::IterationMap;
+using mandel::ModeledConfig;
 
 double batched_warp_cost_total(const IterationMap& map, int batch_lines,
                                const gpusim::DeviceSpec& spec) {
@@ -86,9 +94,10 @@ ModeledConfig calibrate_to_paper(const IterationMap& map,
     probe.buffers_per_gpu = 4;
     probe.host.show_line_base = 0;
     probe.host.show_line_per_pixel = 0;
-    RunResult r =
+    Result<RunResult> r =
         run_gpu_single_thread(map, probe, GpuApi::kCuda, GpuMode::kBatched);
-    double ratio = anchors.batched_compute_seconds / r.modeled_seconds;
+    if (!r.ok()) break;  // device too small: keep the analytic solve
+    double ratio = anchors.batched_compute_seconds / r.value().modeled_seconds;
     if (ratio > 0.99 && ratio < 1.01) break;
     base.device_spec.seconds_per_warp_cost_unit *= ratio;
   }
@@ -116,9 +125,10 @@ ModeledConfig calibrate_to_paper(const IterationMap& map,
   for (int iter = 0; iter < 4; ++iter) {
     ModeledConfig probe = base;
     probe.devices = 1;
-    RunResult r =
+    Result<RunResult> r =
         run_gpu_single_thread(map, probe, GpuApi::kCuda, GpuMode::kPerLine1D);
-    double measured = r.modeled_seconds - overhead_total;
+    if (!r.ok()) break;
+    double measured = r.value().modeled_seconds - overhead_total;
     double target = anchors.per_line_seconds - overhead_total;
     if (measured <= 0 || target <= 0) break;
     double ratio = target / measured;
@@ -130,4 +140,4 @@ ModeledConfig calibrate_to_paper(const IterationMap& map,
   return base;
 }
 
-}  // namespace hs::mandel
+}  // namespace hs::cluster

@@ -17,7 +17,7 @@
 #include "mandel/iteration_map.hpp"
 #include "mandel/modeled.hpp"
 
-namespace hs::mandel {
+namespace hs::cluster {
 
 struct PaperAnchors {
   double sequential_seconds = 400.0;
@@ -33,17 +33,18 @@ struct PaperAnchors {
 /// Sum over the Listing-2 batched kernel's warps of the max-lane cost
 /// (including the partial final batch), i.e. the total warp work the
 /// batched GPU versions execute. Exposed for tests.
-double batched_warp_cost_total(const IterationMap& map, int batch_lines,
+double batched_warp_cost_total(const mandel::IterationMap& map,
+                               int batch_lines,
                                const gpusim::DeviceSpec& spec);
 
 /// Sum over lines of the max-lane cost (the per-line kernel's critical
 /// warp), the basis of the latency-hiding anchor. Exposed for tests.
-double per_line_max_cost_total(const IterationMap& map);
+double per_line_max_cost_total(const mandel::IterationMap& map);
 
 /// Returns `base` with host and device timing constants replaced by the
 /// anchored values for this map's workload.
-ModeledConfig calibrate_to_paper(const IterationMap& map,
-                                 const PaperAnchors& anchors = {},
-                                 ModeledConfig base = {});
+mandel::ModeledConfig calibrate_to_paper(const mandel::IterationMap& map,
+                                         const PaperAnchors& anchors = {},
+                                         mandel::ModeledConfig base = {});
 
-}  // namespace hs::mandel
+}  // namespace hs::cluster

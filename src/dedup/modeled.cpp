@@ -1,38 +1,6 @@
 #include "dedup/modeled.hpp"
 
-#include <algorithm>
-#include <cassert>
-#include <memory>
-
-#include "dedup/modeled_detail.hpp"
-
 namespace hs::dedup {
-
-namespace {
-
-using gpusim::Device;
-using gpusim::Machine;
-using gpusim::OpHandle;
-using perfmodel::HostProfile;
-using perfmodel::ModeledHost;
-
-// Kernel/copy enqueue bodies and CPU stage costs live in modeled_detail.hpp
-// so the cluster runner (cluster/modeled.cpp) charges identical durations.
-using detail::CpuCosts;
-using detail::launch_findmatch;
-using detail::launch_hash_kernel;
-using detail::per_block_match_readback;
-using detail::ScratchBuffers;
-using detail::Space;
-
-bool is_cuda(Fig5Backend b) {
-  return b == Fig5Backend::kCudaSingle || b == Fig5Backend::kSparCuda;
-}
-bool is_gpu(Fig5Backend b) {
-  return b != Fig5Backend::kSequential && b != Fig5Backend::kSparCpu;
-}
-
-}  // namespace
 
 std::string_view fig5_backend_name(Fig5Backend b) {
   switch (b) {
@@ -87,324 +55,6 @@ DedupTrace build_trace(std::span<const std::uint8_t> input,
     trace.batches.push_back(std::move(costs));
   }
   return trace;
-}
-
-Fig5Result run_fig5(const DedupTrace& trace, const Fig5Config& config,
-                    Fig5Backend backend) {
-  const HostProfile& host = config.host;
-  CpuCosts cpu(host);
-  const bool gpu = is_gpu(backend);
-  const bool cuda = is_cuda(backend);
-  const bool farm = backend == Fig5Backend::kSparCpu ||
-                    backend == Fig5Backend::kSparCuda ||
-                    backend == Fig5Backend::kSparOcl;
-  // Single-thread GPU versions are single-GPU only (§IV-B: multi-GPU with
-  // one thread "involves a lot of code refactoring, thus we chose for not
-  // implementing it").
-  const int devices = farm ? std::max(1, config.devices) : 1;
-  const int mem_spaces = std::max(1, config.mem_spaces);
-  const double enq = cuda ? host.gpu_enqueue_overhead
-                          : host.gpu_enqueue_overhead * 1.5;
-  const double item_ovh = host.spar_item_overhead;
-
-  auto machine = Machine::Create(gpu ? devices : 0, config.device_spec);
-
-  // Copy behaviour (§V-B): Dedup's realloc'd buffers cannot be pinned.
-  // Both APIs therefore stage through pageable-speed transfers, but they
-  // differ in *who waits*: CUDA's cudaMemcpyAsync from pageable memory
-  // degrades to a synchronous copy (the issuing host thread blocks, so 2x
-  // memory spaces cannot help), while OpenCL's runtime stages
-  // asynchronously at the cost of heavier per-enqueue bookkeeping.
-  const gpusim::HostMem host_mem = gpusim::HostMem::kPageable;
-
-  Fig5Result out;
-  out.label = std::string(fig5_backend_name(backend));
-  if (gpu && !config.batched_kernel) out.label += " per-block-kernels";
-  if (gpu && mem_spaces > 1) {
-    out.label += " " + std::to_string(mem_spaces) + "x-mem";
-  }
-  if (farm && gpu && devices > 1) {
-    out.label += " " + std::to_string(devices) + "gpu";
-  }
-  if (farm && gpu && config.sched == sched::SchedMode::kAdaptive) {
-    out.label += " adaptive";
-  }
-
-  ScratchBuffers scratch;
-
-  if (backend == Fig5Backend::kSequential) {
-    ModeledHost seq(machine.get(), "seq");
-    for (const BatchCosts& b : trace.batches) {
-      seq.work(cpu.frag(b) + cpu.hash(b) + cpu.dupcheck(b) + cpu.compress(b) +
-               cpu.write(b));
-    }
-    out.modeled_seconds = seq.finish_time();
-  } else if (backend == Fig5Backend::kSparCpu) {
-    // 19 workers do hashing and compression; fragmentation at the source,
-    // duplicate check serial, writer serial (the paper's CPU pipeline).
-    ModeledHost source(machine.get(), "source");
-    ModeledHost dup(machine.get(), "dupcheck");
-    ModeledHost writer(machine.get(), "writer");
-    std::vector<std::unique_ptr<ModeledHost>> workers;
-    for (int w = 0; w < std::max(1, config.replicas); ++w) {
-      workers.push_back(std::make_unique<ModeledHost>(
-          machine.get(), "worker" + std::to_string(w)));
-    }
-    for (std::size_t i = 0; i < trace.batches.size(); ++i) {
-      const BatchCosts& b = trace.batches[i];
-      des::TaskId emitted = source.work(cpu.frag(b) + item_ovh);
-      ModeledHost& worker = *workers[i % workers.size()];
-      des::TaskId hashed = worker.work_after(cpu.hash(b) + item_ovh, emitted);
-      des::TaskId checked = dup.work_after(cpu.dupcheck(b) + item_ovh, hashed);
-      des::TaskId compressed =
-          worker.work_after(cpu.compress(b) + item_ovh, checked);
-      writer.work_after(cpu.write(b) + item_ovh, compressed);
-    }
-    out.modeled_seconds = writer.finish_time();
-  } else if (backend == Fig5Backend::kCudaSingle ||
-             backend == Fig5Backend::kOclSingle) {
-    ModeledHost driver(machine.get(), "driver");
-    Device& dev = machine->device(0);
-    std::vector<Space> spaces(static_cast<std::size_t>(mem_spaces));
-    std::uint32_t max_len = 0;
-    for (const BatchCosts& b : trace.batches) {
-      max_len = std::max(max_len, b.data_len);
-    }
-    for (int s = 0; s < mem_spaces; ++s) {
-      spaces[static_cast<std::size_t>(s)].device = &dev;
-      spaces[static_cast<std::size_t>(s)].stream =
-          s == 0 ? dev.default_stream() : dev.create_stream();
-    }
-    scratch.ensure(dev, static_cast<std::size_t>(max_len) * 5);
-
-    // Software-pipelined driver loop: phase A enqueues a batch's GPU work
-    // onto its memory space; phase B (run when the space is next needed,
-    // in batch order) waits for the results, then duplicate-checks,
-    // encodes and writes on the host. With 2 memory spaces, batch i+1's
-    // transfers and kernels overlap batch i's host-side phase B — unless
-    // the CUDA pageable-copy degradation blocks phase A's copies, which
-    // is exactly why 2x memory spaces do not help the CUDA version.
-    std::vector<int> pending(spaces.size(), -1);
-    auto phase_b = [&](std::size_t slot) {
-      int idx = pending[slot];
-      if (idx < 0) return;
-      pending[slot] = -1;
-      const BatchCosts& b = trace.batches[static_cast<std::size_t>(idx)];
-      driver.wait(spaces[slot].last_d2h.task);
-      driver.work(cpu.dupcheck(b) + cpu.encode_walk(b) + cpu.write(b));
-    };
-
-    for (std::size_t i = 0; i < trace.batches.size(); ++i) {
-      const BatchCosts& b = trace.batches[i];
-      std::size_t slot = i % spaces.size();
-      phase_b(slot);  // free the space (no-op the first time around)
-      Space& space = spaces[slot];
-
-      // Phase A: fragment on the host, enqueue H2D + hash + digest
-      // read-back + FindMatch + match read-back.
-      driver.work(cpu.frag(b));
-      des::TaskId enq_t = driver.work(enq);
-      perfmodel::stream_wait_host(dev, space.stream, enq_t);
-      auto h2d = dev.memcpy_h2d(scratch.dev, scratch.host.data(), b.data_len,
-                                space.stream, host_mem);
-      assert(h2d.ok());
-      if (cuda) driver.wait(h2d.value().task);  // pageable => synchronous
-
-      driver.work(enq);
-      launch_hash_kernel(b, space);
-      driver.work(enq);
-      auto d2h_digests = dev.memcpy_d2h(
-          scratch.host.data(), scratch.dev,
-          std::max<std::uint64_t>(1, b.block_count * 20), space.stream,
-          host_mem);
-      assert(d2h_digests.ok());
-      if (cuda) driver.wait(d2h_digests.value().task);
-
-      driver.work(enq *
-                  (config.batched_kernel
-                       ? 1.0
-                       : static_cast<double>(std::max<std::uint64_t>(
-                             1, b.block_count))));
-      launch_findmatch(b, space, config.dedup.lzss, config.batched_kernel);
-      OpHandle d2h_matches;
-      if (config.batched_kernel) {
-        driver.work(enq);
-        auto r = dev.memcpy_d2h(
-            scratch.host.data(), scratch.dev,
-            std::max<std::uint64_t>(1,
-                                    static_cast<std::uint64_t>(b.data_len) *
-                                        sizeof(kernels::LzssMatch)),
-            space.stream, host_mem);
-        assert(r.ok());
-        d2h_matches = r.value();
-      } else {
-        driver.work(enq * static_cast<double>(
-                              std::max<std::uint64_t>(1, b.block_count)));
-        d2h_matches = per_block_match_readback(b, space, scratch.dev,
-                                               scratch.host.data());
-      }
-      if (cuda) driver.wait(d2h_matches.task);
-      space.last_d2h = d2h_matches;
-      pending[slot] = static_cast<int>(i);
-    }
-    // Drain remaining phase Bs in batch order.
-    for (std::size_t i = 0; i < spaces.size(); ++i) {
-      std::size_t slot =
-          (trace.batches.size() + i) % spaces.size();
-      phase_b(slot);
-    }
-    out.modeled_seconds = std::max(driver.finish_time(), machine->makespan());
-  } else {
-    // SPar + GPU (Fig. 3): source -> hash farm -> serial dup check ->
-    // compress farm -> writer. Each worker owns mem_spaces memory spaces
-    // on its round-robin device; an item's stream travels with it so the
-    // compress stage reuses the data already on the GPU.
-    ModeledHost source(machine.get(), "source");
-    ModeledHost dup(machine.get(), "dupcheck");
-    ModeledHost writer(machine.get(), "writer");
-    const int replicas = std::max(1, config.replicas);
-    std::vector<std::unique_ptr<ModeledHost>> hash_workers;
-    std::vector<std::unique_ptr<ModeledHost>> comp_workers;
-    for (int w = 0; w < replicas; ++w) {
-      hash_workers.push_back(std::make_unique<ModeledHost>(
-          machine.get(), "hash" + std::to_string(w)));
-      comp_workers.push_back(std::make_unique<ModeledHost>(
-          machine.get(), "comp" + std::to_string(w)));
-    }
-    // Memory spaces: one set per hash worker.
-    std::uint32_t max_len = 0;
-    for (const BatchCosts& b : trace.batches) {
-      max_len = std::max(max_len, b.data_len);
-    }
-    std::vector<std::vector<Space>> spaces(
-        static_cast<std::size_t>(replicas));
-    std::vector<ScratchBuffers> dev_scratch(
-        static_cast<std::size_t>(devices));
-    for (int d = 0; d < devices; ++d) {
-      dev_scratch[static_cast<std::size_t>(d)].ensure(
-          machine->device(d), static_cast<std::size_t>(max_len) * 5);
-    }
-    for (int w = 0; w < replicas; ++w) {
-      Device& dev = machine->device(w % devices);
-      for (int s = 0; s < mem_spaces; ++s) {
-        Space space;
-        space.device = &dev;
-        space.stream = dev.create_stream();
-        spaces[static_cast<std::size_t>(w)].push_back(space);
-      }
-    }
-    // Adaptive dispatch sees one flat pool of every memory space on every
-    // device and routes each batch to the space whose in-flight d2h
-    // completes earliest (an idle space scores 0, so all spaces get primed
-    // before any is reused; strict < keeps ties on the lowest index).
-    // The replica's host thread still does the enqueueing — only the
-    // device binding becomes dynamic.
-    const bool adaptive = config.sched == sched::SchedMode::kAdaptive;
-    std::vector<Space*> pool;
-    if (adaptive) {
-      for (auto& ws : spaces) {
-        for (Space& s : ws) pool.push_back(&s);
-      }
-    }
-    auto least_loaded = [&]() -> Space& {
-      std::size_t best = 0;
-      double best_t = pool[0]->last_d2h.valid()
-                          ? machine->finish_time(pool[0]->last_d2h.task)
-                          : 0.0;
-      for (std::size_t s = 1; s < pool.size(); ++s) {
-        double t = pool[s]->last_d2h.valid()
-                       ? machine->finish_time(pool[s]->last_d2h.task)
-                       : 0.0;
-        if (t < best_t) {
-          best = s;
-          best_t = t;
-        }
-      }
-      return *pool[best];
-    };
-
-    for (std::size_t i = 0; i < trace.batches.size(); ++i) {
-      const BatchCosts& b = trace.batches[i];
-      des::TaskId emitted = source.work(cpu.frag(b) + item_ovh);
-
-      const std::size_t w = i % static_cast<std::size_t>(replicas);
-      ModeledHost& hw = *hash_workers[w];
-      Space& space =
-          adaptive ? least_loaded()
-                   : spaces[w][(i / static_cast<std::size_t>(replicas)) %
-                               spaces[w].size()];
-      Device& dev = *space.device;
-      ScratchBuffers& sc =
-          dev_scratch[static_cast<std::size_t>(dev.index())];
-
-      if (space.last_d2h.valid()) hw.wait(space.last_d2h.task);
-      des::TaskId deps[1] = {emitted};
-      hw.work(item_ovh + enq, deps);
-      perfmodel::stream_wait_host(dev, space.stream, hw.tail());
-      auto h2d = dev.memcpy_h2d(sc.dev, sc.host.data(), b.data_len,
-                                space.stream, host_mem);
-      assert(h2d.ok());
-      if (cuda) hw.wait(h2d.value().task);
-      hw.work(enq);
-      launch_hash_kernel(b, space);
-      hw.work(enq);
-      auto d2h_digests = dev.memcpy_d2h(
-          sc.host.data(), sc.dev,
-          std::max<std::uint64_t>(1, b.block_count * 20), space.stream,
-          host_mem);
-      assert(d2h_digests.ok());
-      hw.wait(d2h_digests.value().task);
-
-      des::TaskId checked =
-          dup.work_after(cpu.dupcheck(b) + item_ovh, hw.tail());
-
-      // Compress farm: enqueue FindMatch on the item's stream (data is
-      // already on the device), read matches back, encode on the CPU.
-      ModeledHost& cw = *comp_workers[w];
-      des::TaskId cdeps[1] = {checked};
-      cw.work(item_ovh + enq * (config.batched_kernel
-                                    ? 1.0
-                                    : static_cast<double>(
-                                          std::max<std::uint64_t>(
-                                              1, b.block_count))),
-              cdeps);
-      perfmodel::stream_wait_host(dev, space.stream, cw.tail());
-      launch_findmatch(b, space, config.dedup.lzss, config.batched_kernel);
-      OpHandle d2h_matches;
-      if (config.batched_kernel) {
-        cw.work(enq);
-        auto r = dev.memcpy_d2h(
-            sc.host.data(), sc.dev,
-            std::max<std::uint64_t>(1,
-                                    static_cast<std::uint64_t>(b.data_len) *
-                                        sizeof(kernels::LzssMatch)),
-            space.stream, host_mem);
-        assert(r.ok());
-        d2h_matches = r.value();
-      } else {
-        cw.work(enq * static_cast<double>(
-                          std::max<std::uint64_t>(1, b.block_count)));
-        d2h_matches = per_block_match_readback(b, space, sc.dev,
-                                               sc.host.data());
-      }
-      cw.wait(d2h_matches.task);
-      space.last_d2h = d2h_matches;
-      des::TaskId encoded = cw.work(cpu.encode_walk(b));
-
-      writer.work_after(cpu.write(b) + item_ovh, encoded);
-    }
-    out.modeled_seconds =
-        std::max(writer.finish_time(), machine->makespan());
-  }
-
-  for (int d = 0; d < machine->device_count(); ++d) {
-    out.kernel_launches += machine->device(d).counters().kernels_launched;
-  }
-  out.throughput_mb_s = out.modeled_seconds > 0
-                            ? static_cast<double>(trace.input_bytes) / 1e6 /
-                                  out.modeled_seconds
-                            : 0;
-  return out;
 }
 
 }  // namespace hs::dedup

@@ -1,11 +1,12 @@
-// Modeled Dedup variants — the engine behind Fig. 5.
+// Inputs of the modeled Dedup variants — the engine behind Fig. 5.
 //
 // A DedupTrace runs the real stages once per dataset (rabin fragmentation,
 // SHA-1, duplicate decisions, LZSS match costs, output sizes) and records
-// the per-batch work. Each Fig. 5 variant then replays its own schedule —
-// who enqueues what, on which stream, with which synchronization — charging
-// trace-derived durations to modeled host workers and simulated devices.
-// Throughput = input bytes / modeled makespan, the metric Fig. 5 plots.
+// the per-batch work. Each Fig. 5 variant (cluster::run_fig5) then replays
+// its own schedule — who enqueues what, on which stream, with which
+// synchronization — charging trace-derived durations to modeled host
+// workers and simulated devices. Throughput = input bytes / modeled
+// makespan, the metric Fig. 5 plots.
 //
 // The CUDA-vs-OpenCL asymmetry the paper found is encoded exactly as
 // diagnosed in §V-B: Dedup's realloc'd buffers cannot be page-locked, so
@@ -21,7 +22,7 @@
 #include <vector>
 
 #include "dedup/stages.hpp"
-#include "gpusim/device.hpp"
+#include "gpusim/spec.hpp"
 #include "perfmodel/host_model.hpp"
 #include "sched/sched.hpp"
 
@@ -40,7 +41,7 @@ struct BatchCosts {
   std::uint64_t output_bytes = 0;
   /// Leading digest byte per block, in block order. Content-hash routing key
   /// for the cluster-sharded duplicate check (owner node = key % nodes);
-  /// unused by the single-host variants.
+  /// unused on a single node.
   std::vector<std::uint8_t> shard_key;
 };
 
@@ -75,6 +76,8 @@ struct Fig5Config {
   perfmodel::HostProfile host = perfmodel::HostProfile::I9_7900X();
   gpusim::DeviceSpec device_spec = gpusim::DeviceSpec::TitanXP();
   DedupConfig dedup;
+  /// GPUs of the single host a run without a topology executes on
+  /// (at least 1); the single-thread variants use the first.
   int devices = 1;
   int replicas = 19;
   /// Paper's central optimization: one FindMatch kernel per batch (true)
@@ -89,15 +92,5 @@ struct Fig5Config {
   /// this; static output is unchanged by the flag.
   sched::SchedMode sched = sched::SchedMode::kStatic;
 };
-
-struct Fig5Result {
-  std::string label;
-  double modeled_seconds = 0;
-  double throughput_mb_s = 0;  ///< input MB (decimal) per second
-  std::uint64_t kernel_launches = 0;
-};
-
-Fig5Result run_fig5(const DedupTrace& trace, const Fig5Config& config,
-                    Fig5Backend backend);
 
 }  // namespace hs::dedup

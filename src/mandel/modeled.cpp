@@ -1,37 +1,6 @@
 #include "mandel/modeled.hpp"
 
-#include <algorithm>
-#include <cassert>
-#include <memory>
-#include <vector>
-
-#include "mandel/modeled_detail.hpp"
-
 namespace hs::mandel {
-
-namespace {
-
-using gpusim::Device;
-using gpusim::Dim3;
-using gpusim::Machine;
-using gpusim::OpHandle;
-using gpusim::StreamId;
-using gpusim::ThreadCtx;
-using perfmodel::HostProfile;
-using perfmodel::ModeledHost;
-
-// Kernel/copy enqueue bodies and host overhead formulas live in
-// modeled_detail.hpp so the cluster runner (cluster/modeled.cpp) charges
-// identical durations.
-using detail::apply_device_knobs;
-using detail::enqueue_overhead;
-using detail::fill_device_stats;
-using detail::item_overhead;
-using detail::launch_batch;
-using detail::MemSpace;
-using detail::show_cost;
-
-}  // namespace
 
 std::string_view cpu_model_name(CpuModel m) {
   switch (m) {
@@ -44,580 +13,6 @@ std::string_view cpu_model_name(CpuModel m) {
 
 std::string_view gpu_api_name(GpuApi a) {
   return a == GpuApi::kCuda ? "cuda" : "opencl";
-}
-
-RunResult run_sequential(const IterationMap& map, const ModeledConfig& cfg) {
-  const int dim = map.params().dim;
-  auto machine = Machine::Create(0, cfg.device_spec);
-  if (!cfg.trace_path.empty()) machine->set_trace_recording(true);
-  ModeledHost seq(machine.get(), "seq");
-
-  std::vector<std::uint8_t> image(static_cast<std::size_t>(dim) * dim);
-  for (int i = 0; i < dim; ++i) {
-    map.render_line(i, std::span<std::uint8_t>(
-                           image.data() + static_cast<std::size_t>(i) * dim,
-                           static_cast<std::size_t>(dim)));
-    seq.work(static_cast<double>(map.line_cost(i)) *
-                 cfg.host.seconds_per_mandel_iter +
-             show_cost(cfg.host, dim, 1));
-  }
-
-  RunResult out;
-  out.label = "sequential";
-  out.modeled_seconds = seq.finish_time();
-  out.checksum = image_checksum(image);
-  if (!cfg.trace_path.empty()) (void)machine->dump_chrome_trace(cfg.trace_path);
-  return out;
-}
-
-RunResult run_cpu_pipeline(const IterationMap& map, const ModeledConfig& cfg,
-                           CpuModel model) {
-  const int dim = map.params().dim;
-  const double ovh = item_overhead(cfg.host, model);
-  auto machine = Machine::Create(0, cfg.device_spec);
-  if (!cfg.trace_path.empty()) machine->set_trace_recording(true);
-
-  ModeledHost source(machine.get(), "source");
-  ModeledHost sink(machine.get(), "sink");
-  std::vector<std::unique_ptr<ModeledHost>> workers;
-  const int nworkers = std::max(1, cfg.cpu_workers);
-  workers.reserve(static_cast<std::size_t>(nworkers));
-  for (int w = 0; w < nworkers; ++w) {
-    workers.push_back(std::make_unique<ModeledHost>(
-        machine.get(), "worker" + std::to_string(w)));
-  }
-
-  std::vector<std::uint8_t> image(static_cast<std::size_t>(dim) * dim);
-  std::vector<des::TaskId> sink_tasks(static_cast<std::size_t>(dim));
-  const bool steal = model == CpuModel::kTbb;
-
-  for (int i = 0; i < dim; ++i) {
-    // TBB throttles in-flight items with max_number_of_live_tokens: item i
-    // cannot enter before item (i - tokens) has retired at the sink.
-    des::TaskId throttle{};
-    if (model == CpuModel::kTbb &&
-        static_cast<std::size_t>(i) >= cfg.tbb_tokens) {
-      throttle = sink_tasks[static_cast<std::size_t>(i) - cfg.tbb_tokens];
-    }
-    des::TaskId emitted = source.work_after(ovh, throttle);
-
-    // Worker choice: round-robin (FastFlow/SPar default scheduling) or
-    // earliest-available (work stealing evens the load).
-    std::size_t w;
-    if (steal) {
-      w = 0;
-      for (std::size_t c = 1; c < workers.size(); ++c) {
-        if (workers[c]->finish_time() < workers[w]->finish_time()) w = c;
-      }
-    } else {
-      w = static_cast<std::size_t>(i) % workers.size();
-    }
-    map.render_line(i, std::span<std::uint8_t>(
-                           image.data() + static_cast<std::size_t>(i) * dim,
-                           static_cast<std::size_t>(dim)));
-    des::TaskId computed = workers[w]->work_after(
-        static_cast<double>(map.line_cost(i)) *
-                cfg.host.seconds_per_mandel_iter +
-            ovh,
-        emitted);
-    sink_tasks[static_cast<std::size_t>(i)] =
-        sink.work_after(show_cost(cfg.host, dim, 1) + ovh, computed);
-  }
-
-  RunResult out;
-  out.label = std::string(cpu_model_name(model)) + " cpu";
-  out.modeled_seconds = sink.finish_time();
-  out.checksum = image_checksum(image);
-  if (!cfg.trace_path.empty()) (void)machine->dump_chrome_trace(cfg.trace_path);
-  return out;
-}
-
-namespace {
-
-/// Ensures `space` owns a device buffer of at least `lines` fractal lines,
-/// reallocating through the simulated device's memory accounting. Returns
-/// false when the device rejects the allocation (OUT_OF_MEMORY) — the
-/// caller's AIMD sizer turns that into a multiplicative decrease.
-bool reserve_space_lines(MemSpace& space, std::uint64_t& owned_lines,
-                         std::uint64_t lines, int dim) {
-  if (owned_lines >= lines) return true;
-  if (space.dev_buf != nullptr) {
-    (void)space.device->free(space.dev_buf);
-    space.dev_buf = nullptr;
-    owned_lines = 0;
-  }
-  auto buf = space.device->malloc(lines * static_cast<std::uint64_t>(dim));
-  if (!buf.ok()) return false;
-  space.dev_buf = static_cast<std::uint8_t*>(buf.value());
-  owned_lines = lines;
-  return true;
-}
-
-/// Least-loaded memory space: earliest modeled completion of the in-flight
-/// d2h (an idle space scores 0, so every space gets primed first). Strict <
-/// keeps ties on the lowest index for determinism.
-std::size_t least_loaded_space(const Machine& machine,
-                               const std::vector<MemSpace>& spaces) {
-  std::size_t best = 0;
-  double best_t = spaces[0].last_d2h.valid()
-                      ? machine.finish_time(spaces[0].last_d2h.task)
-                      : 0.0;
-  for (std::size_t s = 1; s < spaces.size(); ++s) {
-    double t = spaces[s].last_d2h.valid()
-                   ? machine.finish_time(spaces[s].last_d2h.task)
-                   : 0.0;
-    if (t < best_t) {
-      best = s;
-      best_t = t;
-    }
-  }
-  return best;
-}
-
-sched::AimdBatchSizer make_line_sizer(int dim) {
-  sched::AimdConfig scfg;
-  scfg.min_size = 1;
-  scfg.max_size = static_cast<std::uint64_t>(dim);
-  scfg.initial = 1;
-  scfg.add_step = 1;
-  return sched::AimdBatchSizer(scfg);
-}
-
-/// The batched single-thread loop under SchedMode::kAdaptive: spaces are
-/// chosen least-loaded instead of round-robin, and the batch size ramps via
-/// AIMD (slow-start doubling while the measured per-line cost — kernel busy
-/// time plus amortized enqueue overhead — keeps improving; a device memory
-/// rejection halves it). Returns the converged batch size in lines.
-std::uint64_t run_batched_adaptive(const IterationMap& map,
-                                   const ModeledConfig& cfg, GpuApi api,
-                                   Machine& machine, ModeledHost& host,
-                                   std::vector<std::uint8_t>& image) {
-  const int dim = map.params().dim;
-  const double ovh = enqueue_overhead(cfg.host, api);
-  const int nbuf = std::max(1, cfg.buffers_per_gpu);
-
-  std::vector<MemSpace> spaces;
-  for (int d = 0; d < cfg.devices; ++d) {
-    Device& dev = machine.device(d);
-    for (int b = 0; b < nbuf; ++b) {
-      MemSpace space;
-      space.device = &dev;
-      space.stream = b == 0 ? dev.default_stream() : dev.create_stream();
-      spaces.push_back(space);
-    }
-  }
-  std::vector<std::uint64_t> owned_lines(spaces.size(), 0);
-
-  sched::AimdBatchSizer sizer = make_line_sizer(dim);
-  const bool overlap_show = nbuf > 1 || cfg.devices > 1;
-  int first = 0;
-  while (first < dim) {
-    std::size_t s = least_loaded_space(machine, spaces);
-    MemSpace& space = spaces[s];
-
-    std::uint64_t want = 0;
-    for (;;) {
-      want = std::min<std::uint64_t>(sizer.current(),
-                                     static_cast<std::uint64_t>(dim - first));
-      if (reserve_space_lines(space, owned_lines[s], want, dim)) break;
-      sizer.on_reject();
-    }
-    const int count = static_cast<int>(want);
-
-    if (space.last_d2h.valid()) host.wait(space.last_d2h.task);
-    int to_show_later = 0;
-    if (space.last_d2h.valid()) {
-      if (overlap_show) {
-        to_show_later = space.pending_lines;
-      } else {
-        host.work(show_cost(cfg.host, dim, space.pending_lines));
-      }
-    }
-    des::TaskId enq = host.work(2 * ovh);
-    perfmodel::stream_wait_host(*space.device, space.stream, enq);
-    const double busy0 = space.device->compute_busy_seconds();
-    space.last_d2h = launch_batch(map, space, first, count, image);
-    const double busy1 = space.device->compute_busy_seconds();
-    space.pending_first_line = first;
-    space.pending_lines = count;
-    if (to_show_later > 0) host.work(show_cost(cfg.host, dim, to_show_later));
-
-    // Per-line cost: kernel busy time plus the amortized enqueue overhead.
-    // Only a full-size batch is a valid observation; the image-edge
-    // remainder would fake a cost spike.
-    if (want == sizer.current()) {
-      sizer.on_success((busy1 - busy0 + 2 * ovh) / count);
-    }
-    first += count;
-  }
-  for (MemSpace& space : spaces) {
-    if (space.last_d2h.valid()) {
-      host.wait(space.last_d2h.task);
-      host.work(show_cost(cfg.host, dim, space.pending_lines));
-    }
-  }
-  return sizer.current();
-}
-
-}  // namespace
-
-RunResult run_gpu_single_thread(const IterationMap& map,
-                                const ModeledConfig& cfg, GpuApi api,
-                                GpuMode mode) {
-  const int dim = map.params().dim;
-  const double ovh = enqueue_overhead(cfg.host, api);
-  auto machine = Machine::Create(cfg.devices, cfg.device_spec);
-  apply_device_knobs(*machine, cfg);
-  if (!cfg.trace_path.empty()) machine->set_trace_recording(true);
-  ModeledHost host(machine.get(), "driver");
-  std::vector<std::uint8_t> image(static_cast<std::size_t>(dim) * dim);
-
-  RunResult out;
-
-  if (mode == GpuMode::kPerLine1D || mode == GpuMode::kPerLine2D) {
-    // One kernel + one copy + one show per line, all serialized on the
-    // default stream of device 0 (the paper's naive port uses one GPU).
-    Device& dev = machine->device(0);
-    auto buf = dev.malloc(static_cast<std::uint64_t>(dim));
-    assert(buf.ok());
-    auto* dev_row = static_cast<std::uint8_t*>(buf.value());
-    for (int i = 0; i < dim; ++i) {
-      des::TaskId enq = host.work(2 * ovh);
-      perfmodel::stream_wait_host(dev, dev.default_stream(), enq);
-      Result<OpHandle> launched = InvalidArgument("unset");
-      if (mode == GpuMode::kPerLine1D) {
-        launched = dev.launch(
-            Dim3{static_cast<std::uint32_t>((dim + 255) / 256), 1, 1},
-            Dim3{256, 1, 1}, {}, dev.default_stream(),
-            [&map, dev_row, i, dim](const ThreadCtx& ctx) -> std::uint64_t {
-              std::uint64_t j = ctx.global_x();
-              if (j < static_cast<std::uint64_t>(dim)) {
-                dev_row[j] = map.color(i, static_cast<int>(j));
-                return map.lane_cost(i, static_cast<int>(j));
-              }
-              return 1;
-            });
-      } else {
-        // "2D of threads and blocks" (the paper does not give its exact
-        // geometry): a 16x16 block whose FASTEST-varying thread dimension
-        // strides across columns (j = base + tx*16 + ty) — the classic
-        // pitfall when switching to 2D indexing. Each warp then samples
-        // columns spread across a 256-wide tile instead of 32 adjacent
-        // ones, so nearly every warp contains a slow (deep-iteration)
-        // lane and pays its cost: SIMT divergence destroys the coherence
-        // the 1D row mapping gets for free, reproducing the reported ~2x
-        // degradation.
-        launched = dev.launch(
-            Dim3{static_cast<std::uint32_t>((dim + 255) / 256), 1, 1},
-            Dim3{16, 16, 1}, {}, dev.default_stream(),
-            [&map, dev_row, i, dim](const ThreadCtx& ctx) -> std::uint64_t {
-              std::uint64_t j =
-                  static_cast<std::uint64_t>(ctx.block_idx.x) * 256 +
-                  static_cast<std::uint64_t>(ctx.thread_idx.x) * 16 +
-                  ctx.thread_idx.y;
-              if (j >= static_cast<std::uint64_t>(dim)) return 1;
-              dev_row[j] = map.color(i, static_cast<int>(j));
-              return map.lane_cost(i, static_cast<int>(j));
-            });
-      }
-      assert(launched.ok());
-      auto copied = dev.memcpy_d2h(
-          image.data() + static_cast<std::size_t>(i) * dim, dev_row,
-          static_cast<std::uint64_t>(dim), dev.default_stream(),
-          gpusim::HostMem::kPinned);
-      assert(copied.ok());
-      host.wait(copied.value().task);
-      host.work(show_cost(cfg.host, dim, 1));
-    }
-    (void)dev.free(buf.value());
-  } else if (cfg.sched == sched::SchedMode::kAdaptive) {
-    out.adaptive_batch_lines =
-        run_batched_adaptive(map, cfg, api, *machine, host, image);
-  } else {
-    // Batched mode with cfg.buffers_per_gpu memory spaces per device,
-    // assigned round-robin across devices then buffers (§IV-A).
-    const int batch = std::max(1, cfg.batch_lines);
-    const int nbuf = std::max(1, cfg.buffers_per_gpu);
-    std::vector<MemSpace> spaces;
-    for (int d = 0; d < cfg.devices; ++d) {
-      Device& dev = machine->device(d);
-      for (int b = 0; b < nbuf; ++b) {
-        MemSpace space;
-        space.device = &dev;
-        space.stream = b == 0 ? dev.default_stream() : dev.create_stream();
-        auto buf = dev.malloc(static_cast<std::uint64_t>(batch) * dim);
-        assert(buf.ok());
-        space.dev_buf = static_cast<std::uint8_t*>(buf.value());
-        spaces.push_back(space);
-      }
-    }
-
-    const int nbatches = (dim + batch - 1) / batch;
-    const bool overlap_show = nbuf > 1 || cfg.devices > 1;
-    for (int b = 0; b < nbatches; ++b) {
-      // Paper's round-robin: batch -> device, then buffer within device.
-      int d = b % cfg.devices;
-      int buf = (b / cfg.devices) % nbuf;
-      MemSpace& space = spaces[static_cast<std::size_t>(d * nbuf + buf)];
-
-      // Reusing a space requires its previous transfer to have landed.
-      // With multiple memory spaces the host issues the next batch BEFORE
-      // displaying the previous one (that is what the extra space buys:
-      // "one for copying data and another to perform computations"); the
-      // single-space version runs the paper's synchronous loop.
-      if (space.last_d2h.valid()) host.wait(space.last_d2h.task);
-      int shown_pending = 0;
-      if (!overlap_show && space.last_d2h.valid()) {
-        host.work(show_cost(cfg.host, dim, space.pending_lines));
-        shown_pending = space.pending_lines;
-        (void)shown_pending;
-      }
-      int to_show_later =
-          overlap_show && space.last_d2h.valid() ? space.pending_lines : 0;
-      des::TaskId enq = host.work(2 * ovh);
-      perfmodel::stream_wait_host(*space.device, space.stream, enq);
-      int first = b * batch;
-      int count = std::min(batch, dim - first);
-      space.last_d2h = launch_batch(map, space, first, count, image);
-      space.pending_first_line = first;
-      space.pending_lines = count;
-      if (to_show_later > 0) {
-        host.work(show_cost(cfg.host, dim, to_show_later));
-      }
-    }
-    // Drain: wait and show the final batch of every space.
-    for (MemSpace& space : spaces) {
-      if (space.last_d2h.valid()) {
-        host.wait(space.last_d2h.task);
-        host.work(show_cost(cfg.host, dim, space.pending_lines));
-      }
-    }
-  }
-
-  out.label = std::string(gpu_api_name(api));
-  switch (mode) {
-    case GpuMode::kPerLine1D: out.label += " per-line"; break;
-    case GpuMode::kPerLine2D: out.label += " 2d"; break;
-    case GpuMode::kBatched:
-      if (cfg.sched == sched::SchedMode::kAdaptive) {
-        out.label += " adaptive";
-      } else {
-        out.label += " batch" + std::to_string(cfg.batch_lines);
-      }
-      if (cfg.buffers_per_gpu > 1) {
-        out.label += " x" + std::to_string(cfg.buffers_per_gpu) + "buf";
-      }
-      if (cfg.devices > 1) {
-        out.label += " " + std::to_string(cfg.devices) + "gpu";
-      }
-      break;
-  }
-  out.modeled_seconds = std::max(host.finish_time(), machine->makespan());
-  out.checksum = image_checksum(image);
-  fill_device_stats(*machine, out);
-  if (!cfg.trace_path.empty()) (void)machine->dump_chrome_trace(cfg.trace_path);
-  return out;
-}
-
-namespace {
-
-/// run_combined under SchedMode::kAdaptive: workers still arrive round-robin
-/// (the farm emitter), but each batch goes to the globally least-loaded
-/// device — the modeled completion time of the last batch enqueued on it —
-/// and the worker uses its own memory space there. Per-worker selection
-/// would be wrong here: a worker's spaces all start idle, so every worker's
-/// first batch would pile onto device 0 while device 1 sat dark. Batch size
-/// is shared across workers and ramps with the same AIMD rule as the
-/// single-thread path.
-RunResult run_combined_adaptive(const IterationMap& map,
-                                const ModeledConfig& cfg, CpuModel model,
-                                GpuApi api) {
-  const int dim = map.params().dim;
-  const double movh = item_overhead(cfg.host, model);
-  const double govh = enqueue_overhead(cfg.host, api);
-  const int nworkers = std::max(1, cfg.combined_workers);
-
-  auto machine = Machine::Create(cfg.devices, cfg.device_spec);
-  apply_device_knobs(*machine, cfg);
-  if (!cfg.trace_path.empty()) machine->set_trace_recording(true);
-  ModeledHost source(machine.get(), "source");
-  ModeledHost collector(machine.get(), "collector");
-  std::vector<std::unique_ptr<ModeledHost>> workers;
-  workers.reserve(static_cast<std::size_t>(nworkers));
-  for (int w = 0; w < nworkers; ++w) {
-    workers.push_back(std::make_unique<ModeledHost>(
-        machine.get(), "worker" + std::to_string(w)));
-  }
-
-  std::vector<std::vector<MemSpace>> spaces(
-      static_cast<std::size_t>(nworkers));
-  std::vector<std::vector<std::uint64_t>> owned_lines(
-      static_cast<std::size_t>(nworkers));
-  for (int w = 0; w < nworkers; ++w) {
-    for (int d = 0; d < cfg.devices; ++d) {
-      Device& dev = machine->device(d);
-      MemSpace space;
-      space.device = &dev;
-      space.stream = dev.create_stream();
-      spaces[static_cast<std::size_t>(w)].push_back(space);
-      owned_lines[static_cast<std::size_t>(w)].push_back(0);
-    }
-  }
-
-  std::vector<std::uint8_t> image(static_cast<std::size_t>(dim) * dim);
-  std::vector<des::TaskId> collected;
-  sched::AimdBatchSizer sizer = make_line_sizer(dim);
-  std::vector<double> dev_avail(static_cast<std::size_t>(cfg.devices), 0.0);
-
-  int first = 0;
-  for (int b = 0; first < dim; ++b) {
-    des::TaskId throttle{};
-    if (model == CpuModel::kTbb &&
-        static_cast<std::size_t>(b) >= cfg.tbb_tokens) {
-      throttle = collected[static_cast<std::size_t>(b) - cfg.tbb_tokens];
-    }
-    des::TaskId emitted = source.work_after(movh, throttle);
-
-    int w = b % nworkers;  // farm round-robin
-    auto& wspaces = spaces[static_cast<std::size_t>(w)];
-    std::size_t d = 0;
-    for (std::size_t k = 1; k < dev_avail.size(); ++k) {
-      if (dev_avail[k] < dev_avail[d]) d = k;
-    }
-    MemSpace& space = wspaces[d];
-    std::uint64_t& owned = owned_lines[static_cast<std::size_t>(w)][d];
-    ModeledHost& worker = *workers[static_cast<std::size_t>(w)];
-
-    std::uint64_t want = 0;
-    for (;;) {
-      want = std::min<std::uint64_t>(sizer.current(),
-                                     static_cast<std::uint64_t>(dim - first));
-      if (reserve_space_lines(space, owned, want, dim)) break;
-      sizer.on_reject();
-    }
-    const int count = static_cast<int>(want);
-
-    if (space.last_d2h.valid()) worker.wait(space.last_d2h.task);
-    des::TaskId deps[1] = {emitted};
-    worker.work(movh + 2 * govh, deps);
-    perfmodel::stream_wait_host(*space.device, space.stream, worker.tail());
-    const double busy0 = space.device->compute_busy_seconds();
-    space.last_d2h = launch_batch(map, space, first, count, image);
-    const double busy1 = space.device->compute_busy_seconds();
-    dev_avail[d] = machine->finish_time(space.last_d2h.task);
-
-    collector.wait(space.last_d2h.task);
-    collected.push_back(
-        collector.work(show_cost(cfg.host, dim, count) + movh));
-
-    if (want == sizer.current()) {
-      sizer.on_success((busy1 - busy0 + 2 * govh) / count);
-    }
-    first += count;
-  }
-
-  RunResult out;
-  out.label = std::string(cpu_model_name(model)) + "+" +
-              std::string(gpu_api_name(api)) + " adaptive";
-  if (cfg.devices > 1) out.label += " " + std::to_string(cfg.devices) + "gpu";
-  out.modeled_seconds =
-      std::max(collector.finish_time(), machine->makespan());
-  out.checksum = image_checksum(image);
-  fill_device_stats(*machine, out);
-  out.adaptive_batch_lines = sizer.current();
-  if (!cfg.trace_path.empty()) (void)machine->dump_chrome_trace(cfg.trace_path);
-  return out;
-}
-
-}  // namespace
-
-RunResult run_combined(const IterationMap& map, const ModeledConfig& cfg,
-                       CpuModel model, GpuApi api) {
-  if (cfg.sched == sched::SchedMode::kAdaptive) {
-    return run_combined_adaptive(map, cfg, model, api);
-  }
-  const int dim = map.params().dim;
-  const double movh = item_overhead(cfg.host, model);
-  const double govh = enqueue_overhead(cfg.host, api);
-  const int batch = std::max(1, cfg.batch_lines);
-  const int nworkers = std::max(1, cfg.combined_workers);
-
-  auto machine = Machine::Create(cfg.devices, cfg.device_spec);
-  apply_device_knobs(*machine, cfg);
-  if (!cfg.trace_path.empty()) machine->set_trace_recording(true);
-  ModeledHost source(machine.get(), "source");
-  ModeledHost collector(machine.get(), "collector");
-  std::vector<std::unique_ptr<ModeledHost>> workers;
-  workers.reserve(static_cast<std::size_t>(nworkers));
-  for (int w = 0; w < nworkers; ++w) {
-    workers.push_back(std::make_unique<ModeledHost>(
-        machine.get(), "worker" + std::to_string(w)));
-  }
-
-  // Each worker owns one memory space (buffer + stream) per device — the
-  // paper attaches a cudaStream/cl_command_queue to every stream item; a
-  // worker has one item in flight per device at a time, so this is the
-  // same concurrency.
-  std::vector<std::vector<MemSpace>> spaces(
-      static_cast<std::size_t>(nworkers));
-  for (int w = 0; w < nworkers; ++w) {
-    for (int d = 0; d < cfg.devices; ++d) {
-      Device& dev = machine->device(d);
-      MemSpace space;
-      space.device = &dev;
-      space.stream = dev.create_stream();
-      auto buf = dev.malloc(static_cast<std::uint64_t>(batch) * dim);
-      assert(buf.ok());
-      space.dev_buf = static_cast<std::uint8_t*>(buf.value());
-      spaces[static_cast<std::size_t>(w)].push_back(space);
-    }
-  }
-
-  std::vector<std::uint8_t> image(static_cast<std::size_t>(dim) * dim);
-  const int nbatches = (dim + batch - 1) / batch;
-  std::vector<des::TaskId> collected(static_cast<std::size_t>(nbatches));
-
-  for (int b = 0; b < nbatches; ++b) {
-    des::TaskId throttle{};
-    if (model == CpuModel::kTbb &&
-        static_cast<std::size_t>(b) >= cfg.tbb_tokens) {
-      throttle = collected[static_cast<std::size_t>(b) - cfg.tbb_tokens];
-    }
-    des::TaskId emitted = source.work_after(movh, throttle);
-
-    int w = b % nworkers;  // farm round-robin
-    int d = b % cfg.devices;
-    MemSpace& space = spaces[static_cast<std::size_t>(w)]
-                            [static_cast<std::size_t>(d)];
-    ModeledHost& worker = *workers[static_cast<std::size_t>(w)];
-
-    // The worker must not reuse its buffer before the previous transfer
-    // finished (the collector synchronizes, but the buffer belongs to the
-    // worker's space).
-    if (space.last_d2h.valid()) worker.wait(space.last_d2h.task);
-    des::TaskId deps[1] = {emitted};
-    worker.work(movh + 2 * govh, deps);
-    perfmodel::stream_wait_host(*space.device, space.stream, worker.tail());
-    int first = b * batch;
-    int count = std::min(batch, dim - first);
-    space.last_d2h = launch_batch(map, space, first, count, image);
-
-    // Collector: cudaStreamSynchronize / clWaitForEvents, then show.
-    collector.wait(space.last_d2h.task);
-    collected[static_cast<std::size_t>(b)] =
-        collector.work(show_cost(cfg.host, dim, count) + movh);
-  }
-
-  RunResult out;
-  out.label = std::string(cpu_model_name(model)) + "+" +
-              std::string(gpu_api_name(api));
-  if (cfg.devices > 1) out.label += " " + std::to_string(cfg.devices) + "gpu";
-  out.modeled_seconds =
-      std::max(collector.finish_time(), machine->makespan());
-  out.checksum = image_checksum(image);
-  fill_device_stats(*machine, out);
-  if (!cfg.trace_path.empty()) (void)machine->dump_chrome_trace(cfg.trace_path);
-  return out;
 }
 
 }  // namespace hs::mandel

@@ -1,14 +1,9 @@
-// Modeled Mandelbrot Streaming variants — the engine behind Fig. 1/Fig. 4.
-//
-// Each runner executes the *real* algorithm structure of one of the paper's
-// implementations — the same loops, batch shapes, stream round-robins,
-// buffer-reuse synchronization, and pipeline topology — with pixels
-// produced functionally from the IterationMap and durations charged to the
-// modeled host workers (perfmodel) and simulated devices (gpusim). The
-// returned modeled time is the makespan of that schedule.
-//
-// Every runner renders the full image and returns its checksum; all
-// variants must agree bit-for-bit (asserted by tests and the benches).
+// Inputs of the modeled Mandelbrot Streaming variants — the engine behind
+// Fig. 1/Fig. 4: the paper's implementation families and the knobs of one
+// modeled run. The runners themselves (cluster/modeled.hpp) execute the
+// *real* algorithm structure of each implementation with pixels produced
+// functionally from the IterationMap and durations charged to modeled host
+// workers and simulated devices.
 //
 // The CUDA and OpenCL paths share the scheduling code (the paper measured
 // them within ~2% everywhere); they differ by the per-call API overhead
@@ -45,7 +40,7 @@ std::string_view gpu_api_name(GpuApi a);
 struct ModeledConfig {
   perfmodel::HostProfile host = perfmodel::HostProfile::I9_7900X();
   gpusim::DeviceSpec device_spec = gpusim::DeviceSpec::TitanXP();
-  int devices = 1;
+  int devices = 1;  ///< GPUs of the single host (no topology given)
   int batch_lines = 32;     ///< lines per kernel call in kBatched mode
   int buffers_per_gpu = 1;  ///< "memory spaces": concurrent buffers/streams
   int cpu_workers = 19;     ///< middle-stage replicas, CPU-only versions
@@ -63,41 +58,6 @@ struct ModeledConfig {
   /// measured per-line cost flattens (the occupancy break-even) or device
   /// memory rejects the allocation.
   sched::SchedMode sched = sched::SchedMode::kStatic;
-
-  /// When set, the variant's modeled schedule is dumped as Chrome
-  /// trace-event JSON (see des/trace_export.hpp) to this path.
-  std::string trace_path;
 };
-
-struct RunResult {
-  std::string label;
-  double modeled_seconds = 0;
-  std::uint64_t checksum = 0;
-  std::uint64_t kernel_launches = 0;
-  double gpu_compute_utilization = 0;  ///< device 0 compute busy / makespan
-  /// Batch size the AIMD sizer converged to; 0 under SchedMode::kStatic.
-  std::uint64_t adaptive_batch_lines = 0;
-};
-
-/// The sequential baseline (the paper's 400 s reference).
-RunResult run_sequential(const IterationMap& map, const ModeledConfig& cfg);
-
-/// CPU-only pipeline: source -> replicated compute stage -> ordered sink.
-/// kTbb additionally applies the live-token cap and steal-style (earliest
-/// worker) scheduling; kSpar/kFastFlow use round-robin.
-RunResult run_cpu_pipeline(const IterationMap& map, const ModeledConfig& cfg,
-                           CpuModel model);
-
-/// Single-host-thread GPU version (the paper's CUDA/OpenCL-only bars).
-RunResult run_gpu_single_thread(const IterationMap& map,
-                                const ModeledConfig& cfg, GpuApi api,
-                                GpuMode mode);
-
-/// Multicore pipeline with GPU offload in the replicated middle stage
-/// (SPar/TBB/FastFlow x CUDA/OpenCL): workers own per-item streams, issue
-/// async copies, and the collector synchronizes — the paper's Fig. 4
-/// combined versions.
-RunResult run_combined(const IterationMap& map, const ModeledConfig& cfg,
-                       CpuModel model, GpuApi api);
 
 }  // namespace hs::mandel

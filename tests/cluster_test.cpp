@@ -1,7 +1,8 @@
 // Unit tests for the cluster layer: topology parsing/validation, fabric
 // link contention against analytic oracles, content-hash sharded dup
-// lookup, stage placement, and the load-bearing 1-node guarantee — the
-// cluster runners reproduce the single-host modeled numbers bit for bit.
+// lookup, stage placement, the modeled runners' input validation, and the
+// 1-node guarantee — a default single-host call and an explicit
+// full_mesh(1) call produce the same numbers bit for bit.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -15,6 +16,7 @@
 #include "datagen/corpus.hpp"
 #include "dedup/dup_store.hpp"
 #include "dedup/stages.hpp"
+#include "modeled_runners.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace hs::cluster {
@@ -311,7 +313,9 @@ TEST(PlacementTest, GreedyBeatsRoundRobinOnDedupGraph) {
   EXPECT_LT(greedy, rr);
 }
 
-// ---- Cluster runners: 1-node bit-equality and estimator pin ----------
+// ---- Modeled runners: 1-node bit-equality and estimator pin -----------
+
+using testutil::must;
 
 dedup::DedupTrace small_trace(dedup::Fig5Config& cfg) {
   datagen::CorpusSpec spec;
@@ -328,13 +332,14 @@ dedup::DedupTrace small_trace(dedup::Fig5Config& cfg) {
 TEST(ClusterRunnerTest, OneNodeDedupBitIdentical) {
   dedup::Fig5Config cfg;
   dedup::DedupTrace trace = small_trace(cfg);
-  ClusterRunOptions opts;
+  RunOptions opts;
   opts.topo = full_mesh(1, 2, cfg.device_spec, 1e9, 1e-6);
   for (auto backend :
        {dedup::Fig5Backend::kSequential, dedup::Fig5Backend::kSparCpu,
+        dedup::Fig5Backend::kCudaSingle, dedup::Fig5Backend::kOclSingle,
         dedup::Fig5Backend::kSparCuda, dedup::Fig5Backend::kSparOcl}) {
-    dedup::Fig5Result host = dedup::run_fig5(trace, cfg, backend);
-    ClusterRunResult one = run_fig5_cluster(trace, cfg, backend, opts);
+    RunResult host = must(run_fig5(trace, cfg, backend));
+    RunResult one = must(run_fig5(trace, cfg, backend, opts));
     EXPECT_EQ(host.label, one.label);
     EXPECT_EQ(host.modeled_seconds, one.modeled_seconds)  // exact, not near
         << host.label;
@@ -354,28 +359,142 @@ TEST(ClusterRunnerTest, OneNodeMandelBitIdentical) {
   cfg.devices = 2;
   cfg.combined_workers = 4;
   cfg.cpu_workers = 5;
-  ClusterRunOptions opts;
+  RunOptions opts;
   opts.topo = full_mesh(1, 2, cfg.device_spec, 1e9, 1e-6);
 
-  mandel::RunResult seq = mandel::run_sequential(map, cfg);
-  ClusterRunResult seq1 = run_mandel_sequential_cluster(map, cfg, opts);
-  EXPECT_EQ(seq.modeled_seconds, seq1.modeled_seconds);
-  EXPECT_EQ(seq.checksum, seq1.checksum);
+  auto same = [](const RunResult& host, const RunResult& one) {
+    EXPECT_EQ(host.label, one.label);
+    EXPECT_EQ(host.modeled_seconds, one.modeled_seconds) << host.label;
+    EXPECT_EQ(host.checksum, one.checksum) << host.label;
+    EXPECT_EQ(host.kernel_launches, one.kernel_launches) << host.label;
+  };
+  same(must(run_sequential(map, cfg)), must(run_sequential(map, cfg, opts)));
+  same(must(run_cpu_pipeline(map, cfg, mandel::CpuModel::kSpar)),
+       must(run_cpu_pipeline(map, cfg, mandel::CpuModel::kSpar, opts)));
+  same(must(run_gpu_single_thread(map, cfg, mandel::GpuApi::kCuda,
+                                  mandel::GpuMode::kBatched)),
+       must(run_gpu_single_thread(map, cfg, mandel::GpuApi::kCuda,
+                                  mandel::GpuMode::kBatched, opts)));
+  same(must(run_combined(map, cfg, mandel::CpuModel::kSpar,
+                         mandel::GpuApi::kCuda)),
+       must(run_combined(map, cfg, mandel::CpuModel::kSpar,
+                         mandel::GpuApi::kCuda, opts)));
+}
 
-  mandel::RunResult cpu =
-      mandel::run_cpu_pipeline(map, cfg, mandel::CpuModel::kSpar);
-  ClusterRunResult cpu1 = run_mandel_cpu_cluster(map, cfg, opts);
-  EXPECT_EQ(cpu.modeled_seconds, cpu1.modeled_seconds);
-  EXPECT_EQ(cpu.checksum, cpu1.checksum);
+// ---- Modeled runners: caller mistakes come back as errors --------------
 
-  mandel::RunResult comb = mandel::run_combined(
-      map, cfg, mandel::CpuModel::kSpar, mandel::GpuApi::kCuda);
-  ClusterRunResult comb1 =
-      run_mandel_combined_cluster(map, cfg, mandel::GpuApi::kCuda, opts);
-  EXPECT_EQ(comb.label, comb1.label);
-  EXPECT_EQ(comb.modeled_seconds, comb1.modeled_seconds);
-  EXPECT_EQ(comb.checksum, comb1.checksum);
-  EXPECT_EQ(comb.kernel_launches, comb1.kernel_launches);
+TEST(ClusterRunnerTest, RejectsPlacementOfTheWrongSize) {
+  dedup::Fig5Config cfg;
+  dedup::DedupTrace trace = small_trace(cfg);
+  RunOptions opts;
+  opts.topo = full_mesh(2, 2, cfg.device_spec, 1e9, 1e-6);
+  opts.placement.node_of = {0, 1, 0};  // 3 instances; the farm has 3 + 3
+  auto r = run_fig5(trace, cfg, dedup::Fig5Backend::kSparCuda, opts);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("placement"), std::string::npos)
+      << r.status().ToString();
+
+  opts.placement.node_of = {0, 0, 0, 0, 0, 7};  // node 7 of 2
+  r = run_fig5(trace, cfg, dedup::Fig5Backend::kSparCuda, opts);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), ErrorCode::kInvalidArgument);
+}
+
+TEST(ClusterRunnerTest, RejectsProfileGraphOfTheWrongSize) {
+  kernels::MandelParams p;
+  p.dim = 32;
+  p.niter = 100;
+  mandel::IterationMap map = mandel::IterationMap::compute(p);
+  mandel::ModeledConfig cfg;
+  cfg.combined_workers = 4;
+  StageGraph g = mandel_stage_graph(p.dim, cfg.batch_lines, 3, true);
+  RunOptions opts;
+  opts.profile = &g;  // 2 + 3 stages; the run has 2 + 4
+  auto r = run_combined(map, cfg, mandel::CpuModel::kSpar,
+                        mandel::GpuApi::kCuda, opts);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("profile"), std::string::npos)
+      << r.status().ToString();
+}
+
+TEST(ClusterRunnerTest, RejectsGpuStageOnGpulessNode) {
+  dedup::Fig5Config cfg;
+  dedup::DedupTrace trace = small_trace(cfg);
+  auto topo = parse_topology(
+      "node a cores=20 gpus=1\nnode b cores=20 gpus=0\n"
+      "link a b bw=1GB lat=1us\n");
+  ASSERT_TRUE(topo.ok());
+  RunOptions opts;
+  opts.topo = topo.value();
+  opts.placement.node_of = {0, 0, 0, 0, 1, 0};  // worker 1 on GPU-less b
+  auto r = run_fig5(trace, cfg, dedup::Fig5Backend::kSparOcl, opts);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("no GPUs"), std::string::npos)
+      << r.status().ToString();
+
+  // The same holds for a single host configured without GPUs.
+  mandel::ModeledConfig mcfg;
+  mcfg.devices = 0;
+  kernels::MandelParams p;
+  p.dim = 16;
+  p.niter = 50;
+  auto m = run_gpu_single_thread(mandel::IterationMap::compute(p), mcfg,
+                                 mandel::GpuApi::kCuda,
+                                 mandel::GpuMode::kBatched);
+  ASSERT_FALSE(m.ok());
+  EXPECT_NE(m.status().message().find("no GPUs"), std::string::npos);
+}
+
+TEST(ClusterRunnerTest, RejectsVariantsWithoutAMultiNodeForm) {
+  dedup::Fig5Config cfg;
+  dedup::DedupTrace trace = small_trace(cfg);
+  RunOptions opts;
+  opts.topo = full_mesh(2, 2, cfg.device_spec, 1e9, 1e-6);
+  EXPECT_FALSE(
+      run_fig5(trace, cfg, dedup::Fig5Backend::kCudaSingle, opts).ok());
+  dedup::Fig5Config adaptive = cfg;
+  adaptive.sched = sched::SchedMode::kAdaptive;
+  auto r = run_fig5(trace, adaptive, dedup::Fig5Backend::kSparCuda, opts);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("multi-node"), std::string::npos)
+      << r.status().ToString();
+
+  kernels::MandelParams p;
+  p.dim = 32;
+  p.niter = 100;
+  mandel::IterationMap map = mandel::IterationMap::compute(p);
+  mandel::ModeledConfig mcfg;
+  EXPECT_FALSE(run_cpu_pipeline(map, mcfg, mandel::CpuModel::kTbb, opts).ok());
+  EXPECT_FALSE(run_gpu_single_thread(map, mcfg, mandel::GpuApi::kCuda,
+                                     mandel::GpuMode::kBatched, opts)
+                   .ok());
+  mcfg.sched = sched::SchedMode::kAdaptive;
+  EXPECT_FALSE(run_combined(map, mcfg, mandel::CpuModel::kSpar,
+                            mandel::GpuApi::kCuda, opts)
+                   .ok());
+}
+
+TEST(ClusterRunnerTest, RejectsDisconnectedTopologyAndTinyDevices) {
+  dedup::Fig5Config cfg;
+  dedup::DedupTrace trace = small_trace(cfg);
+  auto topo = parse_topology(
+      "node a cores=20 gpus=1\nnode b cores=20 gpus=1\n"
+      "node c cores=20 gpus=1\nlink a b bw=1GB lat=1us\n");
+  ASSERT_TRUE(topo.ok());
+  RunOptions opts;
+  opts.topo = topo.value();
+  auto r = run_fig5(trace, cfg, dedup::Fig5Backend::kSparCpu, opts);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("not connected"), std::string::npos)
+      << r.status().ToString();
+
+  // A device too small for the scratch buffers is an allocation error.
+  dedup::Fig5Config tiny = cfg;
+  tiny.device_spec.memory_bytes = 1024;
+  auto t = run_fig5(trace, tiny, dedup::Fig5Backend::kSparCuda);
+  ASSERT_FALSE(t.ok());
+  EXPECT_EQ(t.status().code(), ErrorCode::kOutOfMemory);
 }
 
 TEST(ClusterRunnerTest, EstimatorMatchesFabricBytesExactly) {
@@ -386,11 +505,11 @@ TEST(ClusterRunnerTest, EstimatorMatchesFabricBytesExactly) {
     StageGraph g = dedup_stage_graph(trace, cfg.replicas, true);
     for (Placement placement :
          {place_round_robin(g, topo), place_greedy(g, topo)}) {
-      ClusterRunOptions opts;
+      RunOptions opts;
       opts.topo = topo;
       opts.placement = placement;
-      ClusterRunResult r = run_fig5_cluster(
-          trace, cfg, dedup::Fig5Backend::kSparCuda, opts);
+      RunResult r =
+          must(run_fig5(trace, cfg, dedup::Fig5Backend::kSparCuda, opts));
       EXPECT_EQ(r.fabric_bytes - r.shard_bytes,
                 predicted_cross_bytes(g, placement, topo))
           << nodes << " nodes";
@@ -407,13 +526,13 @@ TEST(ClusterRunnerTest, MultiNodeRunIsSlowerThanFreeTraffic) {
   dedup::DedupTrace trace = small_trace(cfg);
   StageGraph g = dedup_stage_graph(trace, cfg.replicas, true);
   auto run_at_bw = [&](double bw) {
-    ClusterRunOptions opts;
+    RunOptions opts;
     opts.topo = full_mesh(2, 2, cfg.device_spec, bw, 1e-6);
     opts.placement = place_round_robin(g, opts.topo);
-    return run_fig5_cluster(trace, cfg, dedup::Fig5Backend::kSparCuda, opts);
+    return must(run_fig5(trace, cfg, dedup::Fig5Backend::kSparCuda, opts));
   };
-  ClusterRunResult slow = run_at_bw(1e8);   // 100 MB/s links
-  ClusterRunResult fast = run_at_bw(1e12);  // ~free links
+  RunResult slow = run_at_bw(1e8);   // 100 MB/s links
+  RunResult fast = run_at_bw(1e12);  // ~free links
   EXPECT_GT(slow.modeled_seconds, fast.modeled_seconds);
 }
 
@@ -421,14 +540,14 @@ TEST(ClusterRunnerTest, ExportsTraceAndTelemetry) {
   dedup::Fig5Config cfg;
   dedup::DedupTrace trace = small_trace(cfg);
   telemetry::Registry reg;
-  ClusterRunOptions opts;
+  RunOptions opts;
   opts.topo = full_mesh(2, 2, cfg.device_spec, 1e9, 1e-6);
   StageGraph g = dedup_stage_graph(trace, cfg.replicas, true);
   opts.placement = place_round_robin(g, opts.topo);
   opts.registry = &reg;
   opts.trace_path = ::testing::TempDir() + "/cluster_trace.json";
-  ClusterRunResult r =
-      run_fig5_cluster(trace, cfg, dedup::Fig5Backend::kSparCuda, opts);
+  RunResult r =
+      must(run_fig5(trace, cfg, dedup::Fig5Backend::kSparCuda, opts));
   EXPECT_GT(r.fabric_bytes, 0u);
   EXPECT_EQ(reg.counter("cluster.fabric.bytes")->value(), r.fabric_bytes);
   std::ifstream in(opts.trace_path);
@@ -463,11 +582,10 @@ ProfiledDedup profiled_dedup() {
   d.cfg.dedup.rabin.mask = 0x7FF;
   d.trace = dedup::build_trace(input, d.cfg.dedup);
   d.graph = dedup_stage_graph(d.trace, d.cfg.replicas, true);
-  ClusterRunOptions opts;
+  RunOptions opts;
   opts.topo = full_mesh(1, 2, d.cfg.device_spec, 12.5e9, 2e-6);
   opts.profile = &d.graph;
-  (void)run_fig5_cluster(d.trace, d.cfg, dedup::Fig5Backend::kSparCuda,
-                         opts);
+  (void)must(run_fig5(d.trace, d.cfg, dedup::Fig5Backend::kSparCuda, opts));
   return d;
 }
 
@@ -480,11 +598,11 @@ TEST(MakespanTest, EstimatorPinsDesWithinFactorOnDedup) {
     for (const Placement& placement :
          {place_round_robin(d.graph, topo), place_greedy(d.graph, topo),
           place_makespan(d.graph, topo)}) {
-      ClusterRunOptions opts;
+      RunOptions opts;
       opts.topo = topo;
       opts.placement = placement;
-      const ClusterRunResult r = run_fig5_cluster(
-          d.trace, d.cfg, dedup::Fig5Backend::kSparCuda, opts);
+      const RunResult r = must(
+          run_fig5(d.trace, d.cfg, dedup::Fig5Backend::kSparCuda, opts));
       const double e = est.estimate(placement);
       EXPECT_LE(r.modeled_seconds, e * kEstimatorPinFactor)
           << nodes << " nodes";
@@ -506,10 +624,11 @@ TEST(MakespanTest, EstimatorPinsDesWithinFactorOnMandel) {
   StageGraph g =
       mandel_stage_graph(p.dim, cfg.batch_lines, cfg.combined_workers, true);
   {
-    ClusterRunOptions opts;
+    RunOptions opts;
     opts.topo = full_mesh(1, 2, cfg.device_spec, 12.5e9, 2e-6);
     opts.profile = &g;
-    (void)run_mandel_combined_cluster(map, cfg, mandel::GpuApi::kCuda, opts);
+    (void)must(run_combined(map, cfg, mandel::CpuModel::kSpar,
+                            mandel::GpuApi::kCuda, opts));
   }
   for (int nodes : {1, 2, 4, 8}) {
     const Topology topo = full_mesh(nodes, 2, cfg.device_spec, 12.5e9, 2e-6);
@@ -517,11 +636,11 @@ TEST(MakespanTest, EstimatorPinsDesWithinFactorOnMandel) {
     for (const Placement& placement :
          {place_round_robin(g, topo), place_greedy(g, topo),
           place_makespan(g, topo)}) {
-      ClusterRunOptions opts;
+      RunOptions opts;
       opts.topo = topo;
       opts.placement = placement;
-      const ClusterRunResult r =
-          run_mandel_combined_cluster(map, cfg, mandel::GpuApi::kCuda, opts);
+      const RunResult r = must(run_combined(map, cfg, mandel::CpuModel::kSpar,
+                                            mandel::GpuApi::kCuda, opts));
       const double e = est.estimate(placement);
       EXPECT_LE(r.modeled_seconds, e * kEstimatorPinFactor)
           << nodes << " nodes";
@@ -580,11 +699,10 @@ TEST(MakespanTest, ResolvesEightNodeDedupGreedyInversion) {
   ProfiledDedup d = profiled_dedup();
   const Topology topo = full_mesh(8, 2, d.cfg.device_spec, 12.5e9, 2e-6);
   auto des = [&](const Placement& placement) {
-    ClusterRunOptions opts;
+    RunOptions opts;
     opts.topo = topo;
     opts.placement = placement;
-    return run_fig5_cluster(d.trace, d.cfg, dedup::Fig5Backend::kSparCuda,
-                            opts)
+    return must(run_fig5(d.trace, d.cfg, dedup::Fig5Backend::kSparCuda, opts))
         .modeled_seconds;
   };
   const double rr = des(place_round_robin(d.graph, topo));

@@ -10,9 +10,12 @@
 #include "dedup/modeled.hpp"
 #include "dedup/pipelines.hpp"
 #include "dedup/stages.hpp"
+#include "modeled_runners.hpp"
 
 namespace hs::dedup {
 namespace {
+
+using testutil::run_fig5;
 
 DedupConfig test_config() {
   DedupConfig cfg;

@@ -9,9 +9,16 @@
 #include "mandel/iteration_map.hpp"
 #include "mandel/modeled.hpp"
 #include "mandel/pipelines.hpp"
+#include "modeled_runners.hpp"
 
 namespace hs::mandel {
 namespace {
+
+using cluster::RunResult;
+using testutil::run_combined;
+using testutil::run_cpu_pipeline;
+using testutil::run_gpu_single_thread;
+using testutil::run_sequential;
 
 MandelParams tiny_params() {
   MandelParams p;
@@ -282,17 +289,18 @@ TEST_F(ModeledTest, CudaAndOpenClAreClose) {
 }
 
 TEST_F(ModeledTest, TracePathDumpsChromeTrace) {
-  auto c = cfg();
-  c.trace_path = ::testing::TempDir() + "/hs_modeled_trace.json";
-  auto r = run_gpu_single_thread(map(), c, GpuApi::kCuda, GpuMode::kBatched);
+  cluster::RunOptions opts;
+  opts.trace_path = ::testing::TempDir() + "/hs_modeled_trace.json";
+  auto r = testutil::must(cluster::run_gpu_single_thread(
+      map(), cfg(), GpuApi::kCuda, GpuMode::kBatched, opts));
   EXPECT_NE(r.checksum, 0u);
-  std::FILE* f = std::fopen(c.trace_path.c_str(), "rb");
+  std::FILE* f = std::fopen(opts.trace_path.c_str(), "rb");
   ASSERT_NE(f, nullptr);
   std::fseek(f, 0, SEEK_END);
   long size = std::ftell(f);
   std::fclose(f);
   EXPECT_GT(size, 1000);  // tracks + one event per op
-  std::remove(c.trace_path.c_str());
+  std::remove(opts.trace_path.c_str());
 }
 
 TEST_F(ModeledTest, GpuUtilizationReported) {

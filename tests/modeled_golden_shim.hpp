@@ -4,6 +4,8 @@
 // functions below follow the API.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <cstdint>
 #include <string>
 
@@ -28,12 +30,19 @@ struct Outcome {
 
 enum class MandelRunner { kSequential, kCpuPipeline, kGpuSingleThread, kCombined };
 
+inline Outcome outcome(const Result<cluster::RunResult>& r) {
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  if (!r.ok()) return {};
+  const cluster::RunResult& v = r.value();
+  return {v.label,           v.kernel_launches, v.checksum,
+          v.modeled_seconds, v.fabric_bytes,    v.shard_bytes};
+}
+
 /// Single-host modeled Fig. 5 run.
 inline Outcome run_dedup(const dedup::DedupTrace& trace,
                          const dedup::Fig5Config& cfg,
                          dedup::Fig5Backend backend) {
-  const dedup::Fig5Result r = dedup::run_fig5(trace, cfg, backend);
-  return {r.label, r.kernel_launches, 0, r.modeled_seconds, 0, 0};
+  return outcome(cluster::run_fig5(trace, cfg, backend));
 }
 
 /// Modeled Fig. 5 run on an explicit topology and placement.
@@ -42,13 +51,10 @@ inline Outcome run_dedup_on(const cluster::Topology& topo,
                             const dedup::DedupTrace& trace,
                             const dedup::Fig5Config& cfg,
                             dedup::Fig5Backend backend) {
-  cluster::ClusterRunOptions opts;
+  cluster::RunOptions opts;
   opts.topo = topo;
   opts.placement = placement;
-  const cluster::ClusterRunResult r =
-      cluster::run_fig5_cluster(trace, cfg, backend, opts);
-  return {r.label, r.kernel_launches, r.checksum, r.modeled_seconds,
-          r.fabric_bytes, r.shard_bytes};
+  return outcome(cluster::run_fig5(trace, cfg, backend, opts));
 }
 
 /// Single-host modeled mandel run; `model`, `api` and `mode` are read only
@@ -57,22 +63,17 @@ inline Outcome run_mandel(const mandel::IterationMap& map,
                           const mandel::ModeledConfig& cfg,
                           MandelRunner runner, mandel::CpuModel model,
                           mandel::GpuApi api, mandel::GpuMode mode) {
-  mandel::RunResult r;
   switch (runner) {
     case MandelRunner::kSequential:
-      r = mandel::run_sequential(map, cfg);
-      break;
+      return outcome(cluster::run_sequential(map, cfg));
     case MandelRunner::kCpuPipeline:
-      r = mandel::run_cpu_pipeline(map, cfg, model);
-      break;
+      return outcome(cluster::run_cpu_pipeline(map, cfg, model));
     case MandelRunner::kGpuSingleThread:
-      r = mandel::run_gpu_single_thread(map, cfg, api, mode);
-      break;
+      return outcome(cluster::run_gpu_single_thread(map, cfg, api, mode));
     case MandelRunner::kCombined:
-      r = mandel::run_combined(map, cfg, model, api);
-      break;
+      return outcome(cluster::run_combined(map, cfg, model, api));
   }
-  return {r.label, r.kernel_launches, r.checksum, r.modeled_seconds, 0, 0};
+  return {};
 }
 
 /// Modeled SPar + GPU combined mandel run on an explicit topology.
@@ -81,13 +82,11 @@ inline Outcome run_mandel_combined_on(const cluster::Topology& topo,
                                       const mandel::IterationMap& map,
                                       const mandel::ModeledConfig& cfg,
                                       mandel::GpuApi api) {
-  cluster::ClusterRunOptions opts;
+  cluster::RunOptions opts;
   opts.topo = topo;
   opts.placement = placement;
-  const cluster::ClusterRunResult r =
-      cluster::run_mandel_combined_cluster(map, cfg, api, opts);
-  return {r.label, r.kernel_launches, r.checksum, r.modeled_seconds,
-          r.fabric_bytes, r.shard_bytes};
+  return outcome(
+      cluster::run_combined(map, cfg, mandel::CpuModel::kSpar, api, opts));
 }
 
 }  // namespace hs::golden

@@ -1,7 +1,8 @@
 // Tests for the host performance model and the Mandelbrot calibration.
 #include <gtest/gtest.h>
 
-#include "mandel/calibrate.hpp"
+#include "cluster/calibrate.hpp"
+#include "modeled_runners.hpp"
 #include "perfmodel/host_model.hpp"
 
 namespace hs {
@@ -11,6 +12,8 @@ using gpusim::DeviceSpec;
 using gpusim::Machine;
 using perfmodel::HostProfile;
 using perfmodel::ModeledHost;
+using testutil::run_gpu_single_thread;
+using testutil::run_sequential;
 
 TEST(ModeledHostTest, TasksChainOnTheWorker) {
   auto machine = Machine::Create(0, DeviceSpec::TitanXP());
@@ -89,8 +92,8 @@ class CalibrateTest : public ::testing::Test {
 mandel::IterationMap* CalibrateTest::map_ = nullptr;
 
 TEST_F(CalibrateTest, AnchorsAreHit) {
-  mandel::PaperAnchors anchors;
-  mandel::ModeledConfig cfg = mandel::calibrate_to_paper(*map_, anchors);
+  cluster::PaperAnchors anchors;
+  mandel::ModeledConfig cfg = cluster::calibrate_to_paper(*map_, anchors);
 
   // Anchor 1: sequential time.
   auto seq = run_sequential(*map_, cfg);
@@ -116,19 +119,19 @@ TEST_F(CalibrateTest, AnchorsAreHit) {
 
 TEST_F(CalibrateTest, WarpCostHelpersAreConsistent) {
   gpusim::DeviceSpec spec = gpusim::DeviceSpec::TitanXP();
-  double total32 = mandel::batched_warp_cost_total(*map_, 32, spec);
-  double total8 = mandel::batched_warp_cost_total(*map_, 8, spec);
+  double total32 = cluster::batched_warp_cost_total(*map_, 32, spec);
+  double total8 = cluster::batched_warp_cost_total(*map_, 8, spec);
   EXPECT_GT(total32, 0);
   // Smaller batches only change padding warps, not the order of magnitude.
   EXPECT_NEAR(total32 / total8, 1.0, 0.2);
   // The per-line max sum is bounded by dim * (niter + 1).
-  double line_max = mandel::per_line_max_cost_total(*map_);
+  double line_max = cluster::per_line_max_cost_total(*map_);
   EXPECT_GT(line_max, 0);
   EXPECT_LE(line_max, 200.0 * (20000 + 1));
 }
 
 TEST_F(CalibrateTest, LadderOrderingSurvivesCalibration) {
-  mandel::ModeledConfig cfg = mandel::calibrate_to_paper(*map_);
+  mandel::ModeledConfig cfg = cluster::calibrate_to_paper(*map_);
   auto naive = run_gpu_single_thread(*map_, cfg, mandel::GpuApi::kCuda,
                                      mandel::GpuMode::kPerLine1D);
   auto batched = run_gpu_single_thread(*map_, cfg, mandel::GpuApi::kCuda,

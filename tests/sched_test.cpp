@@ -20,12 +20,17 @@
 #include "kernels/mandel.hpp"
 #include "mandel/modeled.hpp"
 #include "mandel/pipelines.hpp"
+#include "modeled_runners.hpp"
 #include "sched/sched.hpp"
 
 namespace hs {
 namespace {
 
 using sched::AimdBatchSizer;
+using testutil::run_combined;
+using testutil::run_fig5;
+using testutil::run_gpu_single_thread;
+using testutil::run_sequential;
 using sched::AimdConfig;
 using sched::DeviceLoadTracker;
 using sched::SchedMode;
