@@ -1,14 +1,27 @@
-// Bounded retry with exponential backoff, used by the GPU-facing stream
-// stages to absorb transient device failures (failed copies, spurious launch
-// errors, transient allocation pressure) before degrading to the CPU path.
+// Bounded retry with capped exponential backoff and decorrelated jitter,
+// used by the GPU-facing stream stages and the serve layer to absorb
+// transient device failures (failed copies, spurious launch errors,
+// transient allocation pressure) before degrading to the CPU path.
 //
 // Policy and telemetry are deliberately tiny: stages run per stream item, so
-// the fast path (first attempt succeeds) must cost one branch and one relaxed
-// atomic increment. Delays reuse the escalating Backoff from backoff.hpp for
-// sub-sleep waits and fall back to sleep_for once the exponential delay
-// exceeds the spin range.
+// the fast path (first attempt succeeds) must cost one call, one branch and
+// one relaxed atomic increment — no allocation.
+//
+// Delays are jittered rather than a fixed staircase: when a fault burst hits
+// every farm worker at once, a fixed 50/100/200us ladder would send all of
+// them back to the sick device in lockstep, re-colliding on every rung.
+// Decorrelated jitter (Brooker, "Exponential Backoff And Jitter") spreads
+// the retry times:
+//
+//   delay[0]   = uniform(base, base * growth)
+//   delay[n+1] = min(cap, uniform(base, delay[n] * growth))
+//
+// which keeps the expected delay growing exponentially while each worker's
+// actual sleep is drawn independently. The sequence is driven by the repo's
+// deterministic Xoshiro256, so a seeded run replays the same delays.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -18,7 +31,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/backoff.hpp"
+#include "common/rng.hpp"
 #include "common/status.hpp"
 
 namespace hs {
@@ -34,11 +47,69 @@ namespace hs {
 struct RetryPolicy {
   /// Total attempts, including the first (1 = no retry).
   int max_attempts = 4;
-  /// Delay before the first retry; doubles (times `multiplier`) per retry.
+  /// Jitter bounds (BackoffSequence): every retry waits at least
+  /// base_delay and at most max_delay.
   std::chrono::microseconds base_delay{50};
-  double multiplier = 2.0;
   std::chrono::microseconds max_delay{5000};
   bool (*retriable)(ErrorCode) = &default_retriable;
+};
+
+/// One decorrelated-jitter delay sequence over a policy's
+/// [base_delay, max_delay]. Not thread-safe; each worker (farm replica)
+/// owns one, seeded uniquely, and restarts it when a fresh operation starts
+/// so the first retry of every op waits near base_delay.
+class BackoffSequence {
+ public:
+  /// `growth` bounds the ratio between consecutive draws; 3.0 is the
+  /// decorrelated-jitter standard (expected growth ~2x per retry).
+  explicit BackoffSequence(const RetryPolicy& policy = {},
+                           std::uint64_t seed = 1, double growth = 3.0)
+      : policy_(sanitize(policy)),
+        growth_(!(growth >= 1.0) ? 1.0 : std::min(growth, kMaxGrowth)),
+        rng_(seed),
+        prev_(policy_.base_delay) {}
+
+  /// Next delay: uniform in [base, min(cap, prev * growth)], remembered as
+  /// the new `prev`. The envelope is clamped in the double domain before
+  /// the cast to integer microseconds, so every value is within
+  /// [base, cap] however long the sequence runs.
+  [[nodiscard]] std::chrono::microseconds next() {
+    const auto base_us = static_cast<double>(policy_.base_delay.count());
+    const auto cap_us = static_cast<double>(policy_.max_delay.count());
+    double hi = static_cast<double>(prev_.count()) * growth_;
+    hi = std::clamp(hi, base_us, cap_us);
+    const double us = base_us + (hi - base_us) * rng_.uniform();
+    prev_ = std::chrono::microseconds(static_cast<std::int64_t>(us));
+    return prev_;
+  }
+
+  /// Restart the sequence for a new operation (the RNG stream continues, so
+  /// two ops on the same worker still draw different delays).
+  void reset() { prev_ = policy_.base_delay; }
+
+  /// retry_status delay hook: restarts the sequence on an operation's
+  /// first retry, then sleeps the next draw.
+  void wait(int retry_index) {
+    if (retry_index == 0) reset();
+    std::this_thread::sleep_for(next());
+  }
+
+  /// The policy with its bounds sanitized (base >= 0, cap >= base).
+  [[nodiscard]] const RetryPolicy& policy() const { return policy_; }
+
+ private:
+  static constexpr double kMaxGrowth = 1e9;
+
+  static RetryPolicy sanitize(RetryPolicy p) {
+    if (p.base_delay.count() < 0) p.base_delay = std::chrono::microseconds(0);
+    if (p.max_delay < p.base_delay) p.max_delay = p.base_delay;
+    return p;
+  }
+
+  RetryPolicy policy_;
+  double growth_;
+  Xoshiro256 rng_;
+  std::chrono::microseconds prev_;
 };
 
 /// One recorded give-up or retry, for post-run inspection in tests/benches.
@@ -97,32 +168,11 @@ inline std::string RetryStats::ToString() const {
   return out;
 }
 
-namespace detail {
-
-inline void retry_delay(const RetryPolicy& policy, int retry_index) {
-  // Scale and clamp in the double domain: multiplier^retry_index can exceed
-  // the int64 range, and casting an out-of-range double is UB.
-  const double cap = static_cast<double>(policy.max_delay.count());
-  double us = static_cast<double>(policy.base_delay.count());
-  for (int i = 0; i < retry_index && us < cap; ++i) us *= policy.multiplier;
-  if (us > cap) us = cap;
-  auto delay = std::chrono::microseconds(static_cast<std::int64_t>(us));
-  if (delay.count() <= 0) {
-    Backoff b;
-    b.pause();
-    return;
-  }
-  std::this_thread::sleep_for(delay);
-}
-
-}  // namespace detail
-
 /// Run `op` (a callable returning Status) up to policy.max_attempts times,
 /// waiting `delay(retry_index)` between attempts (retry_index is 0-based:
 /// 0 before the first retry). Non-retriable codes surface immediately.
-/// `stats` may be null. The delay callable owns the wait entirely — pass
-/// serve::BackoffSequence-backed jitter for shared-fate retry storms, or a
-/// no-op for tests that must not sleep.
+/// `stats` may be null. The delay callable owns the wait entirely — pass a
+/// BackoffSequence's wait(), or a no-op for tests that must not sleep.
 template <typename F, typename DelayFn>
 Status retry_status(const RetryPolicy& policy, RetryStats* stats,
                     std::string_view label, F&& op, DelayFn&& delay) {
@@ -148,17 +198,6 @@ Status retry_status(const RetryPolicy& policy, RetryStats* stats,
     delay(attempt - 1);
   }
   return last;
-}
-
-/// Fixed-ladder form: delays follow the policy's deterministic exponential
-/// staircase (base_delay * multiplier^n, capped at max_delay).
-template <typename F>
-Status retry_status(const RetryPolicy& policy, RetryStats* stats,
-                    std::string_view label, F&& op) {
-  return retry_status(policy, stats, label, std::forward<F>(op),
-                      [&policy](int retry_index) {
-                        detail::retry_delay(policy, retry_index);
-                      });
 }
 
 }  // namespace hs

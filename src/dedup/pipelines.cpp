@@ -11,7 +11,6 @@
 #include "flow/adapters.hpp"
 #include "kernels/simd/sha1_ni.hpp"
 #include "oclx/oclx.hpp"
-#include "serve/backoff.hpp"
 #include "spar/spar.hpp"
 #include "telemetry/span_recorder.hpp"
 
@@ -211,15 +210,12 @@ class CudaStageContext {
                    sched::DeviceLoadTracker* tracker = nullptr)
       : machine_(machine), replica_(replica_id), stats_(stats),
         policy_(policy), tracker_(tracker),
-        backoff_(serve::BackoffPolicy{policy.base_delay, policy.max_delay},
+        backoff_(policy,
                  0x646564757Aull + static_cast<std::uint64_t>(replica_id)) {}
 
   /// Retry delay hook: decorrelated jitter, restarted per operation.
   auto jitter_delay() {
-    return [this](int retry_index) {
-      if (retry_index == 0) backoff_.reset();
-      std::this_thread::sleep_for(backoff_.next());
-    };
+    return [this](int retry_index) { backoff_.wait(retry_index); };
   }
 
   /// Runs `gpu_pass` (the complete per-batch device sequence, returning
@@ -394,7 +390,7 @@ class CudaStageContext {
   RetryStats* stats_;
   RetryPolicy policy_;
   sched::DeviceLoadTracker* tracker_ = nullptr;
-  serve::BackoffSequence backoff_;
+  BackoffSequence backoff_;
   int device_ = -1;
   int stream_device_ = -1;  ///< device the live stream_ was created on
   bool ready_ = false;

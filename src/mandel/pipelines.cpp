@@ -9,7 +9,6 @@
 #include "flow/adapters.hpp"
 #include "flow/pipeline.hpp"
 #include "oclx/oclx.hpp"
-#include "serve/backoff.hpp"
 #include "spar/spar.hpp"
 #include "taskx/pipeline.hpp"
 #include "taskx/pool.hpp"
@@ -159,9 +158,8 @@ class CudaLineWorker final : public flow::Node {
     replica_ = replica_id;
     // Per-replica jitter stream: decorrelated retry delays so replicas that
     // hit the same fault burst do not re-collide in lockstep.
-    backoff_ = serve::BackoffSequence(
-        serve::BackoffPolicy{policy_.base_delay, policy_.max_delay},
-        0x6d616e64656cull + static_cast<std::uint64_t>(replica_id));
+    backoff_ = BackoffSequence(
+        policy_, 0x6d616e64656cull + static_cast<std::uint64_t>(replica_id));
     // Adaptive mode defers device choice to the tracker on the first item;
     // static mode keeps the paper's per-replica round-robin binding.
     if (tracker_ == nullptr) (void)try_setup(replica_id);
@@ -196,10 +194,7 @@ class CudaLineWorker final : public flow::Node {
  private:
   /// Retry delay hook: decorrelated jitter, restarted per operation.
   auto jitter_delay() {
-    return [this](int retry_index) {
-      if (retry_index == 0) backoff_.reset();
-      std::this_thread::sleep_for(backoff_.next());
-    };
+    return [this](int retry_index) { backoff_.wait(retry_index); };
   }
 
   Status render_line(Line& line) {
@@ -386,7 +381,7 @@ class CudaLineWorker final : public flow::Node {
   RetryStats* stats_;
   RetryPolicy policy_;
   sched::DeviceLoadTracker* tracker_ = nullptr;
-  serve::BackoffSequence backoff_;
+  BackoffSequence backoff_;
   int replica_ = 0;
   int device_ = -1;
   int stream_device_ = -1;  ///< device the live stream_ was created on

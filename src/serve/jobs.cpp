@@ -68,7 +68,7 @@ JobEngine::JobEngine(gpusim::Machine* machine, BreakerBoard* breakers,
       policy_(policy),
       stats_(stats),
       replica_(replica_id),
-      backoff_(BackoffPolicy{policy.base_delay, policy.max_delay},
+      backoff_(policy,
                0x7365727665ull + static_cast<std::uint64_t>(replica_id)) {}
 
 int JobEngine::pick_device() {

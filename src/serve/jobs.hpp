@@ -21,7 +21,6 @@
 #include "gpusim/device.hpp"
 #include "kernels/mandel.hpp"
 #include "sched/sched.hpp"
-#include "serve/backoff.hpp"
 #include "serve/breaker.hpp"
 
 namespace hs::serve {
@@ -83,10 +82,7 @@ class JobEngine {
   void run_cpu(const JobRequest& req, JobResult& result);
 
   auto jitter_delay() {
-    return [this](int retry_index) {
-      if (retry_index == 0) backoff_.reset();
-      std::this_thread::sleep_for(backoff_.next());
-    };
+    return [this](int retry_index) { backoff_.wait(retry_index); };
   }
 
   gpusim::Machine* machine_;

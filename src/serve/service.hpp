@@ -16,7 +16,7 @@
 //     ticket as a miss ("<prefix>.deadline_miss");
 //   * circuit breakers + jittered retries — per-device breakers gate the
 //     JobEngine's device choice, with capped-exponential decorrelated
-//     jitter between retry attempts (serve/backoff.hpp);
+//     jitter between retry attempts (common/retry.hpp);
 //   * per-tenant quotas — hard caps on one tenant's queued and in-flight
 //     jobs, rejected with Rejected{kQuota} (counted in
 //     "<prefix>.tenant.<name>.quota_rejects") so a single hot tenant

@@ -6,6 +6,11 @@
 // the fault-free reference while the telemetry records the injected faults.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <limits>
+#include <thread>
+
 #include "common/retry.hpp"
 #include "cudax/cudax.hpp"
 #include "datagen/corpus.hpp"
@@ -163,62 +168,92 @@ TEST(ShimSurfacingTest, ClApiMapsLostDeviceAndOom) {
 
 // ---- retry policy -----------------------------------------------------------------
 
+/// Delay hook for tests that must not sleep.
+void no_delay(int) {}
+
 TEST(RetryTest, RetriesTransientAndStopsOnUnavailable) {
   RetryStats stats;
   int calls = 0;
-  Status s = retry_status(RetryPolicy{}, &stats, "op", [&] {
-    ++calls;
-    return calls < 3 ? Internal("flaky") : OkStatus();
-  });
+  Status s = retry_status(
+      RetryPolicy{}, &stats, "op",
+      [&] {
+        ++calls;
+        return calls < 3 ? Internal("flaky") : OkStatus();
+      },
+      no_delay);
   EXPECT_TRUE(s.ok());
   EXPECT_EQ(calls, 3);
   EXPECT_EQ(stats.retries.load(), 2u);
 
   calls = 0;
-  s = retry_status(RetryPolicy{}, &stats, "op", [&] {
-    ++calls;
-    return Unavailable("device lost");
-  });
+  s = retry_status(
+      RetryPolicy{}, &stats, "op",
+      [&] {
+        ++calls;
+        return Unavailable("device lost");
+      },
+      no_delay);
   EXPECT_EQ(s.code(), ErrorCode::kUnavailable);
   EXPECT_EQ(calls, 1);  // not retriable: surfaces immediately
   EXPECT_FALSE(stats.events().empty());
 }
 
-// Regression: the backoff scale (multiplier^retry_index) used to be cast
-// to int64 microseconds before the max_delay clamp; with enough attempts
-// or a large multiplier the double exceeded the int64 range and the cast
-// was UB. The clamp now happens in the double domain, so even an absurd
-// policy sleeps at most max_delay per retry.
+// Regression: a delay envelope that grows without bound must be clamped in
+// the double domain before it is cast to integer microseconds — casting an
+// out-of-range double is UB. The jitter sequence multiplies the previous
+// delay by `growth` per retry; with an absurd growth and 80 attempts the
+// unclamped envelope would pass 1e6^79, far beyond the int64 range, yet
+// every retry must still sleep at most max_delay.
 TEST(RetryTest, BackoffClampsBeforeOverflow) {
   RetryPolicy policy;
-  policy.max_attempts = 80;  // 2^79 * base_delay vastly exceeds int64 range
+  policy.max_attempts = 80;
   policy.base_delay = std::chrono::microseconds(1);
-  policy.multiplier = 1e6;
   policy.max_delay = std::chrono::microseconds(100);
+  BackoffSequence backoff(policy, /*seed=*/5, /*growth=*/1e6);
   int calls = 0;
+  std::chrono::microseconds longest{0};
   auto start = std::chrono::steady_clock::now();
-  Status s = retry_status(policy, nullptr, "op", [&] {
-    ++calls;
-    return Internal("always broken");
-  });
+  Status s = retry_status(
+      policy, nullptr, "op",
+      [&] {
+        ++calls;
+        return Internal("always broken");
+      },
+      [&](int retry_index) {
+        if (retry_index == 0) backoff.reset();
+        const auto d = backoff.next();
+        longest = std::max(longest, d);
+        std::this_thread::sleep_for(d);
+      });
   auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_EQ(s.code(), ErrorCode::kInternal);
   EXPECT_EQ(calls, 80);
+  EXPECT_LE(longest, policy.max_delay);
+  EXPECT_GE(longest, policy.base_delay);
   // 79 retries clamped to <= 100 us each; generous slack for slow CI.
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed),
             std::chrono::milliseconds(5000));
+  // An unbounded growth factor is sanitized, never NaN or inf.
+  BackoffSequence wild(policy, 9, std::numeric_limits<double>::infinity());
+  for (int i = 0; i < 100; ++i) {
+    const auto d = wild.next();
+    ASSERT_GE(d, policy.base_delay) << i;
+    ASSERT_LE(d, policy.max_delay) << i;
+  }
 }
 
 TEST(RetryTest, ExhaustsAfterMaxAttempts) {
   RetryStats stats;
   RetryPolicy policy;
   policy.max_attempts = 3;
-  policy.base_delay = std::chrono::microseconds(1);
   int calls = 0;
-  Status s = retry_status(policy, &stats, "op", [&] {
-    ++calls;
-    return Internal("always broken");
-  });
+  Status s = retry_status(
+      policy, &stats, "op",
+      [&] {
+        ++calls;
+        return Internal("always broken");
+      },
+      no_delay);
   EXPECT_EQ(s.code(), ErrorCode::kInternal);
   EXPECT_EQ(calls, 3);
   EXPECT_EQ(stats.exhausted.load(), 1u);

@@ -23,7 +23,6 @@
 #include "gpusim/fault_plan.hpp"
 #include "kernels/mandel.hpp"
 #include "mandel/iteration_map.hpp"
-#include "serve/backoff.hpp"
 #include "serve/breaker.hpp"
 #include "serve/jobs.hpp"
 #include "serve/scale.hpp"
@@ -34,61 +33,6 @@
 
 namespace hs::serve {
 namespace {
-
-// ---- BackoffSequence ---------------------------------------------------------
-
-TEST(BackoffTest, SequenceStaysInsidePolicyBounds) {
-  BackoffPolicy policy;
-  policy.base = std::chrono::microseconds(100);
-  policy.cap = std::chrono::microseconds(4000);
-  policy.growth = 3.0;
-  BackoffSequence seq(policy, /*seed=*/7);
-  std::chrono::microseconds prev = policy.base;
-  for (int i = 0; i < 200; ++i) {
-    const auto d = seq.next();
-    // Decorrelated jitter: every delay lies in [base, min(cap, 3*prev)].
-    EXPECT_GE(d, policy.base) << "step " << i;
-    EXPECT_LE(d, policy.cap) << "step " << i;
-    const auto growth_bound = std::chrono::microseconds(
-        std::min<std::int64_t>(policy.cap.count(), prev.count() * 3));
-    EXPECT_LE(d, growth_bound) << "step " << i;
-    prev = d;
-  }
-}
-
-TEST(BackoffTest, DeterministicPerSeedAndResettable) {
-  BackoffPolicy policy;
-  policy.base = std::chrono::microseconds(50);
-  policy.cap = std::chrono::microseconds(5000);
-  BackoffSequence a(policy, 42);
-  BackoffSequence b(policy, 42);
-  std::vector<std::chrono::microseconds> first;
-  for (int i = 0; i < 16; ++i) first.push_back(a.next());
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(b.next(), first[i]) << i;
-  // Distinct seeds decorrelate (not byte-identical over a window).
-  BackoffSequence c(policy, 43);
-  bool differs = false;
-  for (int i = 0; i < 16; ++i) differs |= (c.next() != first[i]);
-  EXPECT_TRUE(differs);
-  // reset() restarts the growth envelope from base.
-  a.reset();
-  EXPECT_LE(a.next(), std::chrono::microseconds(
-                          std::min<std::int64_t>(policy.cap.count(),
-                                                 policy.base.count() * 3)));
-}
-
-TEST(BackoffTest, DegeneratePoliciesAreSanitized) {
-  BackoffPolicy policy;
-  policy.base = std::chrono::microseconds(-5);
-  policy.cap = std::chrono::microseconds(-10);
-  policy.growth = 0.0;
-  BackoffSequence seq(policy, 1);
-  for (int i = 0; i < 8; ++i) {
-    const auto d = seq.next();
-    EXPECT_GE(d.count(), 0) << i;
-    EXPECT_LE(d, seq.policy().cap) << i;
-  }
-}
 
 // ---- CircuitBreaker ----------------------------------------------------------
 
@@ -553,31 +497,6 @@ TEST(ServiceTest, TenantWeightsDrainEverythingAndExportGauges) {
   EXPECT_EQ(heavy->value, 3.0);
   EXPECT_EQ(light->value, 1.0);   // unlisted tenants default to 1
   EXPECT_EQ(zero->value, 1.0);    // configured 0 clamps to 1
-}
-
-TEST(BackoffTest, BoundsHoldAfterResetAcrossSeeds) {
-  BackoffPolicy policy;
-  policy.base = std::chrono::microseconds(25);
-  policy.cap = std::chrono::microseconds(900);
-  policy.growth = 3.0;
-  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
-    BackoffSequence seq(policy, seed);
-    for (int round = 0; round < 4; ++round) {
-      seq.reset();
-      std::chrono::microseconds prev = policy.base;
-      for (int i = 0; i < 64; ++i) {
-        const auto d = seq.next();
-        ASSERT_GE(d, policy.base) << "seed " << seed << " round " << round;
-        ASSERT_LE(d, policy.cap) << "seed " << seed << " round " << round;
-        // reset() restarts the growth envelope: every post-reset draw obeys
-        // the decorrelated bound from `base`, not from the pre-reset tail.
-        const auto envelope = std::chrono::microseconds(
-            std::min<std::int64_t>(policy.cap.count(), prev.count() * 3));
-        ASSERT_LE(d, envelope) << "seed " << seed << " round " << round;
-        prev = d;
-      }
-    }
-  }
 }
 
 // ---- WRR rotation regressions ------------------------------------------------
