@@ -10,8 +10,8 @@
 // compute_routes) chain one task per hop.
 //
 // send(a, a, ...) is the intentional degenerate case: it returns the
-// dependency unchanged and submits nothing, which is what makes a 1-node
-// cluster schedule bit-identical to the single-host one.
+// dependency unchanged and submits nothing, which is what lets the modeled
+// runners treat a single host as the 1-node case of the same schedule.
 #pragma once
 
 #include <cstdint>

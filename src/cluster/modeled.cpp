@@ -189,15 +189,15 @@ Result<std::unique_ptr<Session>> open_session(const RunOptions& options,
         "profile graph has " + std::to_string(options.profile->stages.size()) +
         " stages; this run has " + std::to_string(instances));
   }
-  auto session = std::make_unique<Session>(topo, options, std::move(place));
-  for (int n = 1; n < nodes; ++n) {
-    if (session->cluster.fabric().hops(0, n) < 0) {
+  const Routes routes = compute_routes(topo);
+  for (std::size_t n = 1; n < topo.nodes.size(); ++n) {
+    if (routes.hops[0][n] < 0) {
       return InvalidArgument("topology is not connected: no path from " +
                              topo.nodes[0].name + " to " +
-                             topo.nodes[static_cast<std::size_t>(n)].name);
+                             topo.nodes[n].name);
     }
   }
-  return session;
+  return std::make_unique<Session>(topo, options, std::move(place));
 }
 
 // ---- Dedup: per-batch costs and device work -------------------------------

@@ -9,8 +9,8 @@
 //
 // Stages additionally carry per-stage compute profiles (StageCompute):
 // host busy seconds, GPU kernel/copy occupancy, and per-item costs,
-// *measured* by the cluster modeled runners during a profiling run
-// (ClusterRunOptions::profile) rather than hand-tuned — the same trace
+// *measured* by the modeled runners during a profiling run
+// (RunOptions::profile) rather than hand-tuned — the same trace
 // that feeds StageEdge::bytes. They power the makespan estimator and the
 // makespan-aware placer in cluster/makespan.hpp.
 //
@@ -57,7 +57,7 @@ struct StageWorkItem {
 };
 
 /// Measured compute profile of one stage instance over the whole run.
-/// Filled by the modeled runners when ClusterRunOptions::profile points at
+/// Filled by the modeled runners when RunOptions::profile points at
 /// the graph being run; all-zero on an unprofiled graph.
 struct StageCompute {
   double host_seconds = 0;  ///< total host-engine busy time

@@ -1,7 +1,5 @@
 #include "gpusim/device.hpp"
 
-#include "des/trace_export.hpp"
-
 #include <cassert>
 #include <algorithm>
 #include <cstring>
@@ -328,11 +326,6 @@ des::TaskId Machine::host_task(des::EngineId engine, double duration,
   return tl().submit(engine, duration, deps);
 }
 
-des::TaskId Machine::join(std::span<const des::TaskId> deps) {
-  std::lock_guard<std::mutex> lock(mu());
-  return tl().join(deps);
-}
-
 double Machine::makespan() const {
   std::lock_guard<std::mutex> lock(mu());
   return tl().makespan();
@@ -341,26 +334,6 @@ double Machine::makespan() const {
 double Machine::finish_time(des::TaskId id) const {
   std::lock_guard<std::mutex> lock(mu());
   return tl().finish_time(id);
-}
-
-std::size_t Machine::op_count() const {
-  std::lock_guard<std::mutex> lock(mu());
-  return tl().task_count();
-}
-
-double Machine::engine_busy(des::EngineId id) const {
-  std::lock_guard<std::mutex> lock(mu());
-  return tl().engine_stats(id).busy;
-}
-
-void Machine::set_trace_recording(bool enabled) {
-  std::lock_guard<std::mutex> lock(mu());
-  tl().set_recording(enabled);
-}
-
-Status Machine::dump_chrome_trace(const std::string& path) const {
-  std::lock_guard<std::mutex> lock(mu());
-  return des::write_chrome_trace(tl(), path);
 }
 
 }  // namespace hs::gpusim

@@ -243,18 +243,8 @@ class Machine {
   des::TaskId host_task(des::EngineId engine, double duration,
                         std::span<const des::TaskId> deps = {});
 
-  /// Zero-duration join of several tasks (event wait on the host).
-  des::TaskId join(std::span<const des::TaskId> deps);
-
   [[nodiscard]] double makespan() const;
   [[nodiscard]] double finish_time(des::TaskId id) const;
-  [[nodiscard]] std::size_t op_count() const;
-  [[nodiscard]] double engine_busy(des::EngineId id) const;
-
-  /// Enables per-op trace recording (see des/trace_export.hpp).
-  void set_trace_recording(bool enabled);
-  /// Writes the recorded schedule as Chrome trace-event JSON.
-  Status dump_chrome_trace(const std::string& path) const;
 
   std::mutex& mutex() { return mu(); }
 
