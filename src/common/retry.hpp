@@ -60,14 +60,9 @@ struct RetryPolicy {
 /// so the first retry of every op waits near base_delay.
 class BackoffSequence {
  public:
-  /// `growth` bounds the ratio between consecutive draws; 3.0 is the
-  /// decorrelated-jitter standard (expected growth ~2x per retry).
   explicit BackoffSequence(const RetryPolicy& policy = {},
-                           std::uint64_t seed = 1, double growth = 3.0)
-      : policy_(sanitize(policy)),
-        growth_(!(growth >= 1.0) ? 1.0 : std::min(growth, kMaxGrowth)),
-        rng_(seed),
-        prev_(policy_.base_delay) {}
+                           std::uint64_t seed = 1)
+      : policy_(sanitize(policy)), rng_(seed), prev_(policy_.base_delay) {}
 
   /// Next delay: uniform in [base, min(cap, prev * growth)], remembered as
   /// the new `prev`. The envelope is clamped in the double domain before
@@ -76,7 +71,7 @@ class BackoffSequence {
   [[nodiscard]] std::chrono::microseconds next() {
     const auto base_us = static_cast<double>(policy_.base_delay.count());
     const auto cap_us = static_cast<double>(policy_.max_delay.count());
-    double hi = static_cast<double>(prev_.count()) * growth_;
+    double hi = static_cast<double>(prev_.count()) * kGrowth;
     hi = std::clamp(hi, base_us, cap_us);
     const double us = base_us + (hi - base_us) * rng_.uniform();
     prev_ = std::chrono::microseconds(static_cast<std::int64_t>(us));
@@ -98,7 +93,9 @@ class BackoffSequence {
   [[nodiscard]] const RetryPolicy& policy() const { return policy_; }
 
  private:
-  static constexpr double kMaxGrowth = 1e9;
+  /// Upper bound on the ratio between consecutive draws; 3.0 is the
+  /// decorrelated-jitter standard (expected growth ~2x per retry).
+  static constexpr double kGrowth = 3.0;
 
   static RetryPolicy sanitize(RetryPolicy p) {
     if (p.base_delay.count() < 0) p.base_delay = std::chrono::microseconds(0);
@@ -107,7 +104,6 @@ class BackoffSequence {
   }
 
   RetryPolicy policy_;
-  double growth_;
   Xoshiro256 rng_;
   std::chrono::microseconds prev_;
 };

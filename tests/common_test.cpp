@@ -431,7 +431,7 @@ RetryPolicy jitter_policy(std::int64_t base_us, std::int64_t cap_us) {
 
 TEST(BackoffTest, SequenceStaysInsidePolicyBounds) {
   const RetryPolicy policy = jitter_policy(100, 4000);
-  BackoffSequence seq(policy, /*seed=*/7, /*growth=*/3.0);
+  BackoffSequence seq(policy, /*seed=*/7);
   std::chrono::microseconds prev = policy.base_delay;
   for (int i = 0; i < 200; ++i) {
     const auto d = seq.next();
@@ -465,7 +465,7 @@ TEST(BackoffTest, DeterministicPerSeedAndResettable) {
 }
 
 TEST(BackoffTest, DegeneratePoliciesAreSanitized) {
-  BackoffSequence seq(jitter_policy(-5, -10), 1, /*growth=*/0.0);
+  BackoffSequence seq(jitter_policy(-5, -10), 1);
   for (int i = 0; i < 8; ++i) {
     const auto d = seq.next();
     EXPECT_GE(d.count(), 0) << i;
@@ -476,7 +476,7 @@ TEST(BackoffTest, DegeneratePoliciesAreSanitized) {
 TEST(BackoffTest, BoundsHoldAfterResetAcrossSeeds) {
   const RetryPolicy policy = jitter_policy(25, 900);
   for (std::uint64_t seed = 1; seed <= 32; ++seed) {
-    BackoffSequence seq(policy, seed, /*growth=*/3.0);
+    BackoffSequence seq(policy, seed);
     for (int round = 0; round < 4; ++round) {
       seq.reset();
       std::chrono::microseconds prev = policy.base_delay;

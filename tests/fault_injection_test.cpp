@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <thread>
 
 #include "common/retry.hpp"
@@ -198,18 +197,18 @@ TEST(RetryTest, RetriesTransientAndStopsOnUnavailable) {
   EXPECT_FALSE(stats.events().empty());
 }
 
-// Regression: a delay envelope that grows without bound must be clamped in
-// the double domain before it is cast to integer microseconds — casting an
-// out-of-range double is UB. The jitter sequence multiplies the previous
-// delay by `growth` per retry; with an absurd growth and 80 attempts the
-// unclamped envelope would pass 1e6^79, far beyond the int64 range, yet
-// every retry must still sleep at most max_delay.
+// Regression: the delay envelope grows geometrically per retry (3^79 us
+// after 80 attempts, far beyond the int64 range) and must be clamped in
+// the double domain before the cast to integer microseconds — casting an
+// out-of-range double is UB. Every retry must still sleep at most
+// max_delay, and draws stay in range even when max_delay is the largest
+// representable duration.
 TEST(RetryTest, BackoffClampsBeforeOverflow) {
   RetryPolicy policy;
   policy.max_attempts = 80;
   policy.base_delay = std::chrono::microseconds(1);
   policy.max_delay = std::chrono::microseconds(100);
-  BackoffSequence backoff(policy, /*seed=*/5, /*growth=*/1e6);
+  BackoffSequence backoff(policy, /*seed=*/5);
   int calls = 0;
   std::chrono::microseconds longest{0};
   auto start = std::chrono::steady_clock::now();
@@ -228,17 +227,19 @@ TEST(RetryTest, BackoffClampsBeforeOverflow) {
   auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_EQ(s.code(), ErrorCode::kInternal);
   EXPECT_EQ(calls, 80);
-  EXPECT_LE(longest, policy.max_delay);
   EXPECT_GE(longest, policy.base_delay);
+  EXPECT_LE(longest, policy.max_delay);
   // 79 retries clamped to <= 100 us each; generous slack for slow CI.
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed),
             std::chrono::milliseconds(5000));
-  // An unbounded growth factor is sanitized, never NaN or inf.
-  BackoffSequence wild(policy, 9, std::numeric_limits<double>::infinity());
-  for (int i = 0; i < 100; ++i) {
-    const auto d = wild.next();
-    ASSERT_GE(d, policy.base_delay) << i;
-    ASSERT_LE(d, policy.max_delay) << i;
+
+  RetryPolicy huge = policy;
+  huge.max_delay = std::chrono::microseconds::max();
+  BackoffSequence wide(huge, /*seed=*/9);
+  for (int i = 0; i < 200; ++i) {
+    const auto d = wide.next();
+    ASSERT_GE(d, huge.base_delay) << i;
+    ASSERT_LE(d, huge.max_delay) << i;
   }
 }
 
