@@ -35,10 +35,10 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "cudax/cudax.hpp"
-#include "gpusim/fault_plan.hpp"
 #include "cluster/calibrate.hpp"
 #include "cluster/modeled.hpp"
+#include "cudax/cudax.hpp"
+#include "gpusim/fault_plan.hpp"
 #include "mandel/modeled.hpp"
 #include "mandel/pipelines.hpp"
 #include "sched/sched.hpp"
@@ -199,7 +199,7 @@ int run(int argc, const char** argv) {
     }
     return opts;
   };
-  // Every modeled row: the GPU single-thread ladder, optionally traced.
+  // One row of the single-thread GPU ladder, optionally traced.
   auto gpu = [&](const ModeledConfig& c, GpuApi api, GpuMode mode,
                  const cluster::RunOptions& opts = {}) {
     return ok_or_exit(

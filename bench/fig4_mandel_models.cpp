@@ -23,10 +23,10 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "cudax/cudax.hpp"
-#include "gpusim/device.hpp"
 #include "cluster/calibrate.hpp"
 #include "cluster/modeled.hpp"
+#include "cudax/cudax.hpp"
+#include "gpusim/device.hpp"
 #include "mandel/modeled.hpp"
 #include "mandel/pipelines.hpp"
 #include "sched/sched.hpp"
@@ -162,7 +162,7 @@ int run(int argc, const char** argv) {
     c.buffers_per_gpu = 4 / devices;  // 4x total memory, as in §IV-A
     for (GpuApi api : {GpuApi::kCuda, GpuApi::kOpenCl}) {
       add(ok_or_exit(
-            cluster::run_gpu_single_thread(map, c, api, GpuMode::kBatched)));
+          cluster::run_gpu_single_thread(map, c, api, GpuMode::kBatched)));
     }
   }
   table.add_separator();
@@ -193,8 +193,8 @@ int run(int argc, const char** argv) {
       c.devices = devices;
       c.buffers_per_gpu = 4 / devices;
       for (GpuApi api : {GpuApi::kCuda, GpuApi::kOpenCl}) {
-        add(ok_or_exit(
-            cluster::run_gpu_single_thread(map, c, api, GpuMode::kBatched)));
+        add(ok_or_exit(cluster::run_gpu_single_thread(map, c, api,
+                                                      GpuMode::kBatched)));
       }
     }
     table.add_separator();

@@ -335,21 +335,21 @@ int run(int argc, const char** argv) {
 
     mandel::ModeledConfig c20 = mcfg;
     c20.cpu_workers = 20;
+    const mandel::CpuModel spar = mandel::CpuModel::kSpar;
     equiv_ok &= check_equal(
         "mandel spar cpu",
-        ok_or_exit(cluster::run_cpu_pipeline(map, c20, mandel::CpuModel::kSpar)),
-        ok_or_exit(cluster::run_cpu_pipeline(map, c20, mandel::CpuModel::kSpar,
-                                             one_node_m)));
+        ok_or_exit(cluster::run_cpu_pipeline(map, c20, spar)),
+        ok_or_exit(cluster::run_cpu_pipeline(map, c20, spar, one_node_m)));
 
-    for (mandel::GpuApi api : {mandel::GpuApi::kCuda, mandel::GpuApi::kOpenCl}) {
+    for (mandel::GpuApi api :
+         {mandel::GpuApi::kCuda, mandel::GpuApi::kOpenCl}) {
       RunOptions opts = one_node_m;
       if (api == mandel::GpuApi::kCuda) opts.profile = &mgraph;
-      const RunResult host = ok_or_exit(
-          cluster::run_combined(map, mcfg, mandel::CpuModel::kSpar, api));
+      const RunResult host =
+          ok_or_exit(cluster::run_combined(map, mcfg, spar, api));
       equiv_ok &= check_equal(
           "mandel " + host.label, host,
-          ok_or_exit(cluster::run_combined(map, mcfg, mandel::CpuModel::kSpar,
-                                           api, opts)));
+          ok_or_exit(cluster::run_combined(map, mcfg, spar, api, opts)));
     }
   }
   if (!equiv_ok) return 1;

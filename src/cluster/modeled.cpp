@@ -208,13 +208,6 @@ Result<std::unique_ptr<Session>> open_session(const RunOptions& options,
 constexpr double kSha1RoundUnits = 100.0;
 constexpr double kLzssCompareUnits = 2.0;
 
-// Copy behaviour (§V-B): Dedup's realloc'd buffers cannot be pinned.
-// Both APIs therefore stage through pageable-speed transfers, but they
-// differ in *who waits*: CUDA's cudaMemcpyAsync from pageable memory
-// degrades to a synchronous copy (the issuing host thread blocks, so 2x
-// memory spaces cannot help), while OpenCL's runtime stages
-// asynchronously at the cost of heavier per-enqueue bookkeeping.
-
 /// One GPU memory space: stream + the tail op the owner must respect.
 struct Space {
   gpusim::Device* device = nullptr;
@@ -345,9 +338,15 @@ struct ScratchBuffers {
 };
 
 /// The device half of the hash stage: copy the batch in, hash it, read
-/// the digests back, all on `space` and after `issuer`'s last call. CUDA's
-/// pageable copy blocks the issuer (cudaMemcpyAsync degrades to
-/// synchronous); waiting for the digests is left to the caller.
+/// the digests back, all on `space` and after `issuer`'s last call;
+/// waiting for the digests is left to the caller.
+///
+/// Copy behaviour (§V-B): Dedup's realloc'd buffers cannot be pinned.
+/// Both APIs therefore stage through pageable-speed transfers, but they
+/// differ in *who waits*: CUDA's cudaMemcpyAsync from pageable memory
+/// degrades to a synchronous copy (the issuing host thread blocks, so 2x
+/// memory spaces cannot help), while OpenCL's runtime stages
+/// asynchronously at the cost of heavier per-enqueue bookkeeping.
 struct HashOps {
   gpusim::OpHandle h2d;
   gpusim::OpHandle digests;
@@ -520,8 +519,8 @@ class LineBatcher {
   /// device buffer that large; OUT_OF_MEMORY when not even that fits.
   Result<int> reserve(MemSpace& space, int remaining) {
     for (;;) {
-      const std::uint64_t want =
-          std::min<std::uint64_t>(current(), static_cast<std::uint64_t>(remaining));
+      const std::uint64_t want = std::min<std::uint64_t>(
+          current(), static_cast<std::uint64_t>(remaining));
       Status s = reserve_lines(space, want);
       if (s.ok()) return static_cast<int>(want);
       if (!aimd_ || want == 1) return s;

@@ -420,7 +420,7 @@ TEST(BackoffTest, EscalatesAndResets) {
   EXPECT_FALSE(b.sleeping());
 }
 
-// ---- BackoffSequence (decorrelated retry jitter) -----------------------------------
+// ---- BackoffSequence (decorrelated retry jitter) ---------------------------------
 
 RetryPolicy jitter_policy(std::int64_t base_us, std::int64_t cap_us) {
   RetryPolicy policy;
