@@ -188,65 +188,60 @@ void append_bytes(PooledBuffer& sink, const std::uint8_t* p, std::size_t n) {
   sink.append(p, n);
 }
 
-/// Chain-mode encode walk: find-then-insert through a matcher, inserting
-/// every covered position so the chain state at any query matches the
-/// batched FindMatch form exactly (see lzss_chain.hpp purity contract).
+/// Chain-mode encode walk over one block, `blk` covering all of `block`:
+/// find_insert at every emitted position, insert at every position a match
+/// covers, so the chain state at any query matches the batched FindMatch
+/// form exactly (see lzss_chain.hpp purity contract).
 ///
-/// The emit is branchless: the match-or-literal decision selects a
-/// (token, width, advance) triple by conditional move, so the walk's only
-/// data-dependent branches are inside find() and the interior-insert loop
-/// bound. Tokens land in a thread-local arena through RawBitWriter and
-/// are appended to the sink in one shot — the walk itself does no
-/// capacity checks and, warm, no allocation.
+/// `blk` and the writer are locals, and the few params read here are
+/// copied out, so the writer's byte stores cannot force the walk state
+/// back to memory. The emit is branchless: the match-or-literal decision
+/// selects a (token, width, advance) triple by conditional move, so the
+/// walk's only data-dependent branches are inside find_insert() and the
+/// interior-insert loop bound. Tokens land in a thread-local arena through
+/// RawBitWriter and are appended to the sink in one shot — the walk itself
+/// does no capacity checks and, warm, no allocation.
 template <typename Sink>
-void encode_chain_walk(simd::LzssChainMatcher& matcher,
-                       std::span<const std::uint8_t> input,
-                       std::size_t block_start, std::size_t block_end,
+void encode_chain_walk(simd::LzssChainMatcher::Block blk,
+                       std::span<const std::uint8_t> block,
                        const LzssParams& params, Sink& out_bytes) {
   static thread_local std::vector<std::uint8_t> arena;
-  const std::size_t n = block_end - block_start;
+  const std::uint8_t* const src = block.data();
+  const auto n = static_cast<std::uint32_t>(block.size());
   // Worst case: every byte a literal (9 bits) plus padding slack.
-  const std::size_t worst = n + n / 8 + 16;
+  const std::size_t worst = std::size_t{n} + n / 8 + 16;
   if (arena.size() < worst) arena.resize(worst);
   RawBitWriter out(arena.data());
 
   constexpr std::uint32_t kMatchBits =
       1 + LzssParams::kOffsetBits + LzssParams::kLengthBits;
-  // Positions in [search_limit, block_end) cannot host a 3-byte hash, so
-  // they are never searched or inserted — they emit as literals.
-  const std::size_t search_limit =
-      n >= simd::LzssChainMatcher::kHashBytes
-          ? block_end - (simd::LzssChainMatcher::kHashBytes - 1)
-          : block_start;
-  std::size_t pos = block_start;
-  while (pos < block_end) {
-    LzssMatch m{};
-    if (pos < search_limit) {
-      m = matcher.find(block_start, block_end, pos);
-      matcher.insert(pos, block_end);
-    }
-    const bool is_match = m.length >= params.min_match;
+  constexpr std::uint32_t kLengthMask = (1u << LzssParams::kLengthBits) - 1u;
+  const std::uint32_t min_match = params.min_match;
+  const std::uint32_t search_end = blk.search_end();
+  std::uint32_t pos = 0;
+  while (pos < search_end) {
+    const LzssMatch m = blk.find_insert(pos);
+    const bool is_match = m.length >= min_match;
     const std::uint32_t token =
         is_match ? (static_cast<std::uint32_t>(m.offset - 1)
                     << LzssParams::kLengthBits) |
-                       static_cast<std::uint32_t>(
-                           (m.length - params.min_match) &
-                           ((1u << LzssParams::kLengthBits) - 1u))
-                 : 0x100u | input[pos];
+                       ((m.length - min_match) & kLengthMask)
+                 : 0x100u | src[pos];
     const std::uint32_t nbits = is_match ? kMatchBits : 9;
-    const std::size_t advance = is_match ? m.length : 1;
+    const std::uint32_t advance = is_match ? m.length : 1;
     out.put_bits(token, nbits);
-    const std::size_t insert_end = std::min(pos + advance, search_limit);
-    for (std::size_t q = pos + 1; q < insert_end; ++q) {
-      matcher.insert(q, block_end);
-    }
+    const std::uint32_t insert_end =
+        std::min(pos + advance, search_end);
+    for (std::uint32_t q = pos + 1; q < insert_end; ++q) blk.insert(q);
     pos += advance;
   }
+  // The last kHashBytes - 1 positions cannot host a hash: literals.
+  for (; pos < n; ++pos) out.put_bits(0x100u | src[pos], 9);
   append_bytes(out_bytes, arena.data(),
                static_cast<std::size_t>(out.finish() - arena.data()));
 }
 
-/// Per-thread chain matcher: reset() is O(1) (generation-tagged heads), so
+/// Per-thread chain matcher: reset() is O(1) (tagged heads), so
 /// re-anchoring per encoded block costs nothing, and a warm thread never
 /// allocates — farm workers each warm their own copy on the first block.
 simd::LzssChainMatcher& chain_matcher() {
@@ -259,9 +254,12 @@ void encode_dispatch(std::span<const std::uint8_t> input,
                      std::size_t block_start, std::size_t block_end,
                      const LzssParams& params, Sink& out_bytes) {
   if (params.mode == LzssMode::kChain) {
+    // Reset onto the block's own bytes: the tag then advances by the
+    // bytes encoded, not by the whole batch per block.
+    const auto block = input.subspan(block_start, block_end - block_start);
     simd::LzssChainMatcher& matcher = chain_matcher();
-    matcher.reset(input, params, simd::active_level());
-    encode_chain_walk(matcher, input, block_start, block_end, params,
+    matcher.reset(block, params, simd::active_level());
+    encode_chain_walk(matcher.block(0, block.size()), block, params,
                       out_bytes);
     return;
   }
@@ -349,18 +347,15 @@ void find_matches_batch(std::span<const std::uint8_t> input,
     // — the cross-variant bit-identity the tests assert.
     simd::LzssChainMatcher& matcher = chain_matcher();
     matcher.reset(input, params, simd::active_level());
-    std::size_t block_idx = 0;
-    for (std::size_t pos = 0; pos < input.size(); ++pos) {
-      while (block_idx + 1 < start_pos.size() &&
-             pos >= start_pos[block_idx + 1]) {
-        ++block_idx;
+    LzssMatch* const out = out_matches.data();
+    for (std::size_t k = 0; k < start_pos.size(); ++k) {
+      const std::size_t bend =
+          k + 1 < start_pos.size() ? start_pos[k + 1] : input.size();
+      simd::LzssChainMatcher::Block blk = matcher.block(start_pos[k], bend);
+      const std::uint32_t search_end = blk.search_end();
+      for (std::uint32_t pos = start_pos[k]; pos < search_end; ++pos) {
+        out[pos] = blk.find_insert(pos);
       }
-      const std::size_t bstart = start_pos[block_idx];
-      const std::size_t bend = block_idx + 1 < start_pos.size()
-                                   ? start_pos[block_idx + 1]
-                                   : input.size();
-      out_matches[pos] = matcher.find(bstart, bend, pos);
-      matcher.insert(pos, bend);
     }
     return;
   }

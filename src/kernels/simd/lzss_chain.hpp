@@ -4,41 +4,59 @@
 // The legacy matcher scans every window position per input byte:
 // O(n·window) and, at 0.02 GB/s, ~50x slower than rabin/SHA-1 — the
 // compress-stage imbalance the paper's dedup analysis calls out. The chain
-// matcher is the classic LZ4/zlib structure instead:
+// matcher is the classic LZ4/zlib structure instead, laid out so both
+// tables fit in a 48 KiB L1d together (32 KiB + at most 8 KiB):
 //
-//   * head[h]: the newest inserted position whose first 3 bytes hash to h,
-//     packed with the generation tag that validates it (see below);
-//   * prev[pos & (P-1)]: the previous position on pos's chain, P = a power
-//     of two >= window_size. The slot for a position is only overwritten
-//     P >= window inserts later — by then the old occupant has fallen out
-//     of every window, so the chain walk (which stops at the first
-//     candidate below the window/block bound) never reads a clobbered
-//     link.
+//   * head[h] (2^13 x u32): the newest inserted position whose first 3
+//     bytes hash to h, stored as a *tagged* position tag + pos (below);
+//   * prev[pos & (P-1)] (P x u16, P = a power of two >= window_size): the
+//     distance from pos back to the previous position on its chain, or
+//     kNoLink (0xFFFF) for "none, stale or farther than any window". A
+//     slot is only overwritten P >= window inserts later — by then its old
+//     occupant has fallen out of every window, so a walk (which stops at
+//     the first candidate outside the window/block bound) never reads a
+//     clobbered link.
 //
-// find() walks a position's chain newest-first, keeps the longest match
-// (ties keep the NEWER candidate — smaller offset — unlike legacy's
-// oldest-first scan, which is why the modes golden separately), prunes
-// with the classic would-extend byte test, extends with the per-level
-// vectorized compare (match_compare_fn), and gives up after
-// params.chain_depth links or as soon as the best possible length is
-// reached.
+// Tagging. reset() advances `tag` past every tagged position the previous
+// input could have written (tag += its size), so every head entry from an
+// earlier input is < tag and one from this input is tag + p with p < pos.
+// A query computes the candidate distance d = (tag + pos) - head[h] in
+// u32: a current entry gives d in [1, pos], a stale one d > pos. So the
+// whole validity + window + block test is one unsigned bound,
+// d - 1 < reach with reach = min(pos - block_start, window) <= 4096, and
+// following a link is d += prev[...]: kNoLink pushes d past every reach.
+// reset() stays O(1) — a warm thread_local matcher re-anchors onto a new
+// block for free (the steady-state zero-alloc gate counts on this).
+//
+// The wrap. Tagged positions must fit in u32, so once tag + size would
+// overflow (every 4 GiB of input) reset() clears head for real and
+// restarts the tag at 1 (0 is the cleared value, below every tag). prev
+// needs no clearing: a link is only read through a current head entry or
+// a current link, and every such hop was written by a current insert.
+//
+// find_insert(pos) is fused: it hashes pos once, reads head[h], links pos
+// into the chain (head/prev writes) and then walks the chain it read,
+// newest-first. It keeps the longest match (ties keep the NEWER candidate
+// — smaller offset — unlike legacy's oldest-first scan, which is why the
+// modes golden separately), prunes with the classic would-extend byte
+// test, extends with the per-level vectorized compare (match_compare_fn),
+// and gives up after params.chain_depth candidates or as soon as the best
+// possible length is reached. insert(pos) does only the linking, for the
+// positions a match covers.
+//
+// State in locals. block() hands out a Block: a value copy of the base
+// pointer, table pointers, tag and params. Kept as a local by the encode
+// walk and the batch loop, none of it can be aliased by the bit writer's
+// byte stores, so the walk runs with everything in registers.
 //
 // Purity contract (what keeps every pipeline variant bit-identical in
-// chain mode): the result of find(block_start, block_end, pos) depends
-// only on the input bytes and on the set of inserted positions in
-// [block_start, pos) — candidates below block_start terminate the walk
-// without consuming depth budget, so it does not matter whether other
-// blocks of the batch were inserted (inline per-block encode) or every
-// batch position was (find_matches_batch / the simulated-GPU FindMatch).
-//
-// reset() is O(1): each head entry packs (generation << 32 | position)
-// into one 64-bit word, so a bumped generation invalidates the whole
-// table without touching its 64 KiB, and validity + the window bound
-// check cost one load per probe. A warm thread_local matcher therefore
-// re-anchors onto a new block for free (the steady-state zero-alloc gate
-// counts on this). prev needs no tags: a link is only ever read through a
-// head entry of the current generation, and every hop was written by a
-// same-generation insert.
+// chain mode): the match find_insert(pos) returns depends only on the
+// input bytes and on the set of inserted positions in [block_start, pos)
+// — stale, cross-block and out-of-window candidates end the walk before
+// they cost depth budget, so it does not matter whether other blocks of
+// the batch were inserted (find_matches_batch / the simulated-GPU
+// FindMatch) or only this block's positions (the inline per-block
+// encode, which resets onto the block's own bytes).
 #pragma once
 
 #include <bit>
@@ -60,125 +78,152 @@ class LzssChainMatcher {
   /// as sub-3-byte matches only legacy mode can find when min_match == 2).
   static constexpr std::uint32_t kHashBytes = 3;
 
-  /// Re-anchors the matcher onto `input` (a whole batch; block bounds are
-  /// per-call). Invalidates all previous insertions in O(1). `level`
-  /// picks the vectorized extend body; the match results are identical at
-  /// every level. Requires input.size() < 2^31.
+  /// Re-anchors the matcher onto `input` (a whole batch or one block;
+  /// block bounds are per-Block). Invalidates all previous insertions in
+  /// O(1) but once per 4 GiB of input. `level` picks the vectorized
+  /// extend body; the match results are identical at every level.
+  /// Requires input.size() < 2^31.
   void reset(std::span<const std::uint8_t> input, const LzssParams& params,
              Level level);
 
-  /// Longest match for `pos` among inserted positions in
-  /// [max(block_start, pos - window), pos), newest first, bounded depth.
-  /// length 0 means "emit a literal". Defined in the header so the encode
-  /// walk and the batch form inline it — an out-of-line call per input
-  /// position costs ~15% end to end.
-  [[nodiscard]] LzssMatch find(std::size_t block_start, std::size_t block_end,
-                               std::size_t pos) const {
-    const std::size_t lookahead_limit =
-        params_.max_match < block_end - pos ? params_.max_match
-                                            : block_end - pos;
-    if (lookahead_limit < params_.min_match) return LzssMatch{};
-    if (pos + kHashBytes > block_end) return LzssMatch{};
+  /// Queries and inserts for positions of one block, with the matcher's
+  /// state copied into the value (see "State in locals" above). Valid
+  /// until the next reset(); positions must be visited in increasing
+  /// order, each at most once.
+  class Block {
+   public:
+    /// One past the last position that can host a 3-byte hash: positions
+    /// in [search_end(), block_end) are never queried or inserted.
+    [[nodiscard]] std::uint32_t search_end() const { return search_end_; }
 
-    const std::size_t lo =
-        pos - block_start > params_.window_size ? pos - params_.window_size
-                                                : block_start;
-    const std::uint64_t e = head_[hash3(pos)];
-    // cmov shape: a stale-generation head becomes -1, below any lo, so
-    // the walk entry check is a single signed compare.
-    std::int64_t c = static_cast<std::int64_t>(static_cast<std::uint32_t>(e));
-    c = (e >> 32) == generation_ ? c : std::int64_t{kNone};
-
-    LzssMatch best;
-    const std::uint8_t* base = base_;
-    std::uint32_t depth = params_.chain_depth;
-    // Every visited link was inserted this generation with a position
-    // < pos (callers find before insert), so the walk is newest-first and
-    // stops at the first candidate outside [lo, pos) — cross-block or
-    // out-of-window entries never consume depth budget.
-    while (c >= static_cast<std::int64_t>(lo)) {
-      const std::size_t cand = static_cast<std::size_t>(c);
-      // Source bytes must stay below pos, so the length is additionally
-      // capped by the candidate's distance.
-      const std::size_t limit =
-          lookahead_limit < pos - cand ? lookahead_limit : pos - cand;
-      // Would-extend prune: a candidate that beats `best` must match at
-      // index best.length (at 0 this screens hash collisions). In bounds:
-      // best.length < limit <= pos - cand and < block_end - pos.
-      if (limit > best.length &&
-          base[cand + best.length] == base[pos + best.length]) {
-        // Inlined first-8-bytes compare (the common case at max_match 18
-        // — an indirect call per candidate would dominate the walk); the
-        // per-level vectorized body only extends tails past 8. Loads are
-        // in bounds: limit >= 8 implies pos + 8 <= block_end and
-        // cand + 8 <= pos.
-        std::size_t len;
-        if (limit >= 8) {
-          std::uint64_t x, y;
-          std::memcpy(&x, base + cand, 8);
-          std::memcpy(&y, base + pos, 8);
-          if (x != y) {
-            len = static_cast<std::size_t>(std::countr_zero(x ^ y)) >> 3;
-          } else {
-            len = 8 + compare_(base + cand + 8, base + pos + 8, limit - 8);
-          }
-        } else {
-          len = 0;
-          while (len < limit && base[cand + len] == base[pos + len]) ++len;
-        }
-        if (len > best.length) {
-          best.length = static_cast<std::uint16_t>(len);
-          best.offset = static_cast<std::uint16_t>(pos - cand);
-          if (len == lookahead_limit) break;  // cannot do better
-        }
-      }
-      if (--depth == 0) break;
-      c = static_cast<std::int64_t>(prev_[cand & prev_mask_]);
+    /// Links `pos` into its chain and returns its longest match among
+    /// inserted positions in [max(block_start, pos - window), pos),
+    /// newest first, bounded depth; length 0 means "emit a literal".
+    /// Requires block_start <= pos < search_end().
+    [[nodiscard, gnu::always_inline]] LzssMatch find_insert(
+        std::uint32_t pos) {
+      const std::uint32_t dist = link(pos);
+      const std::uint32_t room = block_end_ - pos;
+      const std::uint32_t lookahead = max_match_ < room ? max_match_ : room;
+      if (lookahead < min_match_) return LzssMatch{};
+      const std::uint32_t back = pos - block_start_;
+      return walk(pos, dist, back < window_ ? back : window_, lookahead);
     }
-    if (best.length < params_.min_match) return LzssMatch{};
-    return best;
-  }
 
-  /// Registers `pos` as a future match source. `block_end` is the end of
-  /// pos's block: positions whose 3 hash bytes would cross it are skipped
-  /// (every caller must pass the same bound for the same pos — the purity
-  /// contract).
-  void insert(std::size_t pos, std::size_t block_end) {
-    if (pos + kHashBytes > block_end) return;
-    const std::uint32_t h = hash3(pos);
-    const std::uint64_t e = head_[h];
-    prev_[pos & prev_mask_] = (e >> 32) == generation_
-                                  ? static_cast<std::int32_t>(e)
-                                  : kNone;
-    head_[h] = (static_cast<std::uint64_t>(generation_) << 32) |
-               static_cast<std::uint32_t>(pos);
-  }
+    /// Links `pos` into its chain without a query (positions a match
+    /// covers). Requires block_start <= pos < search_end().
+    void insert(std::uint32_t pos) { link(pos); }
 
-  /// insert() for every position in [begin, end).
-  void insert_range(std::size_t begin, std::size_t end,
-                    std::size_t block_end) {
-    for (std::size_t p = begin; p < end; ++p) insert(p, block_end);
-  }
+   private:
+    friend class LzssChainMatcher;
+
+    [[nodiscard]] std::uint32_t hash3(std::uint32_t pos) const {
+      // One 2-byte load + one byte (little-endian, like the word compare
+      // in walk()); reading 4 bytes could cross the input's end.
+      std::uint16_t lo;
+      std::memcpy(&lo, base_ + pos, 2);
+      const std::uint32_t v =
+          lo | (static_cast<std::uint32_t>(base_[pos + 2]) << 16);
+      return (v * 0x9E3779B1u) >> (32 - kHashBits);
+    }
+
+    /// head/prev update for `pos`; returns the distance to the newest
+    /// earlier entry of its chain (> pos when there is none).
+    std::uint32_t link(std::uint32_t pos) {
+      const std::uint32_t h = hash3(pos);
+      const std::uint32_t tagged = tag_ + pos;
+      const std::uint32_t dist = tagged - head_[h];
+      head_[h] = tagged;
+      prev_[pos & prev_mask_] =
+          static_cast<std::uint16_t>(dist < kNoLink ? dist : kNoLink);
+      return dist;
+    }
+
+    /// Chain walk from the candidate `dist` back from pos. Every hop with
+    /// dist in [1, reach] is a current insert inside the window and the
+    /// block; the first hop outside ends the walk without costing depth.
+    [[nodiscard, gnu::always_inline]] LzssMatch walk(
+        std::uint32_t pos, std::uint32_t dist, std::uint32_t reach,
+        std::uint32_t lookahead) const {
+      const std::uint8_t* const cur = base_ + pos;
+      std::uint32_t best_len = 0;
+      std::uint32_t best_dist = 0;
+      std::uint32_t depth = depth_;
+      while (dist - 1 < reach) {
+        const std::uint8_t* const cand = cur - dist;
+        // Source bytes must stay below pos, so the length is additionally
+        // capped by the candidate's distance.
+        const std::uint32_t limit = lookahead < dist ? lookahead : dist;
+        // Would-extend prune: a candidate that beats the best must match
+        // at index best_len (at 0 this screens hash collisions). In
+        // bounds: best_len < limit <= dist and < block_end - pos.
+        if (limit > best_len && cand[best_len] == cur[best_len]) {
+          // Inlined first-8-bytes compare (the common case at max_match
+          // 18 — an indirect call per candidate would dominate the walk);
+          // the per-level vectorized body only extends tails past 8. Loads
+          // are in bounds: limit >= 8 implies pos + 8 <= block_end and
+          // cand + 8 <= pos.
+          std::uint32_t len;
+          if (limit >= 8) {
+            std::uint64_t x, y;
+            std::memcpy(&x, cand, 8);
+            std::memcpy(&y, cur, 8);
+            if (x != y) {
+              len = static_cast<std::uint32_t>(std::countr_zero(x ^ y)) >> 3;
+            } else {
+              len = 8 + static_cast<std::uint32_t>(
+                            compare_(cand + 8, cur + 8, limit - 8));
+            }
+          } else {
+            len = 0;
+            while (len < limit && cand[len] == cur[len]) ++len;
+          }
+          if (len > best_len) {
+            best_len = len;
+            best_dist = dist;
+            if (len == lookahead) break;  // cannot do better
+          }
+        }
+        if (--depth == 0) break;
+        dist += prev_[(pos - dist) & prev_mask_];
+      }
+      if (best_len < min_match_) return LzssMatch{};
+      return LzssMatch{static_cast<std::uint16_t>(best_len),
+                       static_cast<std::uint16_t>(best_dist)};
+    }
+
+    const std::uint8_t* base_ = nullptr;
+    std::uint32_t* head_ = nullptr;
+    std::uint16_t* prev_ = nullptr;
+    MatchCompareFn compare_ = nullptr;
+    std::uint32_t tag_ = 0;
+    std::uint32_t prev_mask_ = 0;
+    std::uint32_t block_start_ = 0;
+    std::uint32_t block_end_ = 0;
+    std::uint32_t search_end_ = 0;
+    std::uint32_t window_ = 0;
+    std::uint32_t min_match_ = 0;
+    std::uint32_t max_match_ = 0;
+    std::uint32_t depth_ = 0;
+  };
+
+  /// The Block view of input[block_start, block_end) after reset().
+  [[nodiscard]] Block block(std::size_t block_start, std::size_t block_end);
 
  private:
-  static constexpr std::uint32_t kHashBits = 13;
-  static constexpr std::int32_t kNone = -1;
+  friend struct LzssChainMatcherTestPeer;
 
-  [[nodiscard]] std::uint32_t hash3(std::size_t pos) const {
-    std::uint32_t v = static_cast<std::uint32_t>(base_[pos]) |
-                      (static_cast<std::uint32_t>(base_[pos + 1]) << 8) |
-                      (static_cast<std::uint32_t>(base_[pos + 2]) << 16);
-    return (v * 0x9E3779B1u) >> (32 - kHashBits);
-  }
+  static constexpr std::uint32_t kHashBits = 13;
+  static constexpr std::uint16_t kNoLink = 0xFFFF;
 
   const std::uint8_t* base_ = nullptr;
-  std::size_t size_ = 0;
   LzssParams params_{};
   MatchCompareFn compare_ = nullptr;
   std::uint32_t prev_mask_ = 0;  ///< P - 1
-  std::uint32_t generation_ = 0;
-  std::vector<std::uint64_t> head_;  ///< (generation << 32) | position
-  std::vector<std::int32_t> prev_;   ///< P entries
+  std::uint32_t tag_ = 1;        ///< added to positions stored in head_
+  std::uint32_t span_ = 0;       ///< size of the current input
+  std::vector<std::uint32_t> head_;  ///< tag + position; 0 = empty
+  std::vector<std::uint16_t> prev_;  ///< P link distances
 };
 
 }  // namespace hs::kernels::simd

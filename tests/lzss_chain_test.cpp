@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -19,8 +20,20 @@
 #include "datagen/corpus.hpp"
 #include "kernels/lzss.hpp"
 #include "kernels/simd/dispatch.hpp"
+#include "kernels/simd/lzss_chain.hpp"
 
 namespace hs::kernels {
+
+namespace simd {
+/// Test-only access to the matcher's tag, so the wrap path runs without
+/// feeding 4 GiB of input.
+struct LzssChainMatcherTestPeer {
+  static void set_tag(LzssChainMatcher& m, std::uint32_t tag) {
+    m.tag_ = tag;
+  }
+};
+}  // namespace simd
+
 namespace {
 
 namespace simd = hs::kernels::simd;
@@ -221,6 +234,75 @@ TEST(LzssChainTest, PooledSinkMatchesVector) {
     EXPECT_EQ(0, std::memcmp(out.data(), expect.data(), out.size()))
         << lzss_mode_name(mode);
   }
+}
+
+/// Bytes drawn from {first, ..., first + 3}: at most 64 distinct trigrams,
+/// so they touch at most 64 head buckets.
+std::vector<std::uint8_t> four_symbol_bytes(std::size_t n, std::uint8_t first,
+                                            std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(first + rng() % 4);
+  return out;
+}
+
+/// find_insert at every searchable position of `input` as one block.
+std::vector<LzssMatch> matcher_matches(simd::LzssChainMatcher& m,
+                                       std::span<const std::uint8_t> input,
+                                       const LzssParams& p) {
+  m.reset(input, p, simd::Level::kScalar);
+  simd::LzssChainMatcher::Block blk = m.block(0, input.size());
+  std::vector<LzssMatch> out(input.size());
+  for (std::uint32_t pos = 0; pos < blk.search_end(); ++pos) {
+    out[pos] = blk.find_insert(pos);
+  }
+  return out;
+}
+
+bool same_matches(const std::vector<LzssMatch>& a,
+                  const std::vector<LzssMatch>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const LzssMatch& x, const LzssMatch& y) {
+                      return x.length == y.length && x.offset == y.offset;
+                    });
+}
+
+// The tag wrap: a matcher whose tags run up to the u32 limit and then
+// restart must answer exactly like a fresh matcher. The inputs are built
+// so that stale entries would show: `a` (random) runs first at tags from
+// 1; `b` touches only the 64 buckets of its 4-symbol alphabet, on the
+// last tags that fit; then `c` runs on the restarted tags. `c` is `a` with
+// every third byte flipped, followed by `a` itself, so each trigram of
+// its second half would find `a`'s leftover entry for that trigram — at
+// the same tag, now aliasing a position of `c`'s first half that shares
+// two bytes with it. At min_match 2 that is a match a fresh matcher never
+// reports; only the clear at the wrap removes those entries.
+TEST(LzssChainTest, TagWrapMatchesFreshMatcher) {
+  const auto a = random_bytes(3000, 0x3A9);
+  const auto b = four_symbol_bytes(20000, 'w', 2);
+  std::vector<std::uint8_t> c = a;
+  for (std::size_t i = 2; i < c.size(); i += 3) c[i] ^= 0x55;
+  c.insert(c.end(), a.begin(), a.end());
+  LzssParams p = chain_params(4096, 8);
+  p.min_match = 2;
+  p.max_match = 17;
+  ASSERT_TRUE(p.valid());
+  auto fresh = [&](std::span<const std::uint8_t> input) {
+    simd::LzssChainMatcher m;
+    return matcher_matches(m, input, p);
+  };
+
+  simd::LzssChainMatcher m;
+  EXPECT_TRUE(same_matches(matcher_matches(m, a, p), fresh(a)));
+  // reset() adds the previous input's size, so `b` runs on the last tags
+  // that fit: [UINT32_MAX - b.size(), UINT32_MAX).
+  simd::LzssChainMatcherTestPeer::set_tag(
+      m, std::numeric_limits<std::uint32_t>::max() -
+             static_cast<std::uint32_t>(a.size() + b.size()));
+  EXPECT_TRUE(same_matches(matcher_matches(m, b, p), fresh(b)));
+  // `c` no longer fits: the tag wraps back to 1.
+  EXPECT_TRUE(same_matches(matcher_matches(m, c, p), fresh(c)));
+  expect_round_trip(c, p, "min_match 2");
 }
 
 }  // namespace
