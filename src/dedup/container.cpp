@@ -8,6 +8,7 @@
 #include "flow/pipeline.hpp"
 
 #include "kernels/huffman.hpp"
+#include "kernels/simd/sha1_ni.hpp"
 
 namespace hs::dedup {
 
@@ -270,7 +271,7 @@ Result<std::vector<std::uint8_t>> extract(
   if (!r.bytes(20, trailer)) return DataLoss("missing integrity trailer");
   kernels::Sha1Digest expect{};
   std::memcpy(expect.data(), trailer.data(), 20);
-  if (kernels::Sha1::hash(out) != expect) {
+  if (kernels::simd::sha1_hash_fast(out) != expect) {
     return DataLoss("integrity check failed: SHA-1 mismatch");
   }
   return out;
@@ -481,7 +482,7 @@ Result<std::vector<std::uint8_t>> extract_parallel(
   if (!r.bytes(20, trailer)) return DataLoss("missing integrity trailer");
   kernels::Sha1Digest expect{};
   std::memcpy(expect.data(), trailer.data(), 20);
-  if (kernels::Sha1::hash(out) != expect) {
+  if (kernels::simd::sha1_hash_fast(out) != expect) {
     return DataLoss("integrity check failed: SHA-1 mismatch");
   }
   return out;

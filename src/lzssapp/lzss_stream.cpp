@@ -4,7 +4,7 @@
 #include <optional>
 
 #include "cudax/cudax.hpp"
-#include "kernels/sha1.hpp"
+#include "kernels/simd/sha1_ni.hpp"
 #include "spar/spar.hpp"
 
 namespace hs::lzssapp {
@@ -103,7 +103,7 @@ Result<std::vector<std::uint8_t>> compress_sequential(
     compress_block_cpu(*block, config);
     if (Status s = writer.append(*block); !s.ok()) return s;
   }
-  return writer.finish(kernels::Sha1::hash(input));
+  return writer.finish(kernels::simd::sha1_hash_fast(input));
 }
 
 Result<std::vector<std::uint8_t>> compress_spar(
@@ -125,7 +125,7 @@ Result<std::vector<std::uint8_t>> compress_spar(
   });
   if (Status s = region.run(); !s.ok()) return s;
   if (!append_status.ok()) return append_status;
-  return writer.finish(kernels::Sha1::hash(input));
+  return writer.finish(kernels::simd::sha1_hash_fast(input));
 }
 
 namespace {
@@ -240,7 +240,7 @@ Result<std::vector<std::uint8_t>> compress_spar_cuda(
   });
   if (Status s = region.run(); !s.ok()) return s;
   if (!append_status.ok()) return append_status;
-  return writer.finish(kernels::Sha1::hash(input));
+  return writer.finish(kernels::simd::sha1_hash_fast(input));
 }
 
 namespace {
@@ -330,7 +330,7 @@ Result<std::vector<std::uint8_t>> decompress(
   if (!r.bytes(20, trailer)) return DataLoss("missing integrity trailer");
   kernels::Sha1Digest expect{};
   std::memcpy(expect.data(), trailer.data(), 20);
-  if (kernels::Sha1::hash(out) != expect) {
+  if (kernels::simd::sha1_hash_fast(out) != expect) {
     return DataLoss("integrity check failed: SHA-1 mismatch");
   }
   return out;
