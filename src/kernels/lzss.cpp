@@ -66,33 +66,51 @@ class BitWriter {
   std::uint32_t filled_ = 0;
 };
 
-/// MSB-first bit reader.
+/// MSB-first bit reader over a 64-bit buffer. The next unread bit is the
+/// buffer's MSB and the bits below `count_` are zero. refill() tops the
+/// buffer up to >= 56 bits with one 8-byte big-endian load while 8 input
+/// bytes remain, then byte by byte; callers check have() before taking
+/// bits, so a truncated stream is reported exactly where it ends.
 class BitReader {
  public:
-  explicit BitReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
+  explicit BitReader(std::span<const std::uint8_t> bytes)
+      : p_(bytes.data()), end_(bytes.data() + bytes.size()) {}
 
-  bool get_bit(bool& bit) {
-    if (pos_ >= bytes_.size() * 8) return false;
-    std::size_t byte = pos_ / 8;
-    std::size_t off = pos_ % 8;
-    bit = ((bytes_[byte] >> (7 - off)) & 1u) != 0;
-    ++pos_;
-    return true;
+  void refill() {
+    if (end_ - p_ >= 8) {
+      std::uint64_t v;
+      std::memcpy(&v, p_, 8);
+      if constexpr (std::endian::native == std::endian::little) {
+        v = __builtin_bswap64(v);
+      }
+      buf_ |= v >> count_;
+      p_ += (63 - count_) >> 3;
+      count_ |= 56;
+      return;
+    }
+    while (count_ <= 56 && p_ < end_) {
+      buf_ |= static_cast<std::uint64_t>(*p_++) << (56 - count_);
+      count_ += 8;
+    }
   }
 
-  bool get_bits(std::uint32_t count, std::uint32_t& value) {
-    value = 0;
-    for (std::uint32_t i = 0; i < count; ++i) {
-      bool bit = false;
-      if (!get_bit(bit)) return false;
-      value = (value << 1) | (bit ? 1u : 0u);
-    }
-    return true;
+  [[nodiscard]] bool have(std::uint32_t bits) const { return count_ >= bits; }
+
+  /// The next `bits` (1..32) bits, not consumed.
+  [[nodiscard]] std::uint32_t peek(std::uint32_t bits) const {
+    return static_cast<std::uint32_t>(buf_ >> (64 - bits));
+  }
+
+  void skip(std::uint32_t bits) {
+    buf_ <<= bits;
+    count_ -= bits;
   }
 
  private:
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
+  const std::uint8_t* p_;
+  const std::uint8_t* end_;
+  std::uint64_t buf_ = 0;
+  std::uint32_t count_ = 0;
 };
 
 }  // namespace
@@ -295,39 +313,49 @@ Result<std::vector<std::uint8_t>> lzss_decode(
     std::span<const std::uint8_t> compressed, std::size_t original_size,
     const LzssParams& params) {
   if (!params.valid()) return InvalidArgument("bad LZSS parameters");
-  std::vector<std::uint8_t> out;
-  out.reserve(original_size);
+  constexpr std::uint32_t kFieldBits =
+      LzssParams::kOffsetBits + LzssParams::kLengthBits;
+  std::vector<std::uint8_t> out(original_size);
+  std::uint8_t* const dst = out.data();
   BitReader in(compressed);
-  while (out.size() < original_size) {
-    bool literal = false;
-    if (!in.get_bit(literal)) {
+  std::size_t n = 0;
+  while (n < original_size) {
+    // A token is at most 1 + kFieldBits = 17 bits.
+    if (!in.have(1 + kFieldBits)) in.refill();
+    if (!in.have(1)) {
       return DataLoss("LZSS stream truncated before expected output size");
     }
-    if (literal) {
-      std::uint32_t byte = 0;
-      if (!in.get_bits(8, byte)) {
+    if (in.peek(1) != 0) {
+      if (!in.have(9)) {
         return DataLoss("LZSS stream truncated inside a literal");
       }
-      out.push_back(static_cast<std::uint8_t>(byte));
-    } else {
-      std::uint32_t offset_m1 = 0, len_m = 0;
-      if (!in.get_bits(LzssParams::kOffsetBits, offset_m1) ||
-          !in.get_bits(LzssParams::kLengthBits, len_m)) {
-        return DataLoss("LZSS stream truncated inside a match");
-      }
-      std::size_t offset = offset_m1 + 1;
-      std::size_t length = len_m + params.min_match;
-      if (offset > out.size()) {
-        return DataLoss("LZSS match reaches before the block start");
-      }
-      if (out.size() + length > original_size) {
-        return DataLoss("LZSS match overruns the declared output size");
-      }
-      std::size_t src = out.size() - offset;
-      for (std::size_t i = 0; i < length; ++i) {
-        out.push_back(out[src + i]);
-      }
+      dst[n++] = static_cast<std::uint8_t>(in.peek(9));
+      in.skip(9);
+      continue;
     }
+    if (!in.have(1 + kFieldBits)) {
+      return DataLoss("LZSS stream truncated inside a match");
+    }
+    const std::uint32_t fields =
+        in.peek(1 + kFieldBits) & ((1u << kFieldBits) - 1u);
+    in.skip(1 + kFieldBits);
+    const std::size_t offset = (fields >> LzssParams::kLengthBits) + 1;
+    const std::size_t length =
+        (fields & ((1u << LzssParams::kLengthBits) - 1u)) + params.min_match;
+    if (offset > n) {
+      return DataLoss("LZSS match reaches before the block start");
+    }
+    if (n + length > original_size) {
+      return DataLoss("LZSS match overruns the declared output size");
+    }
+    const std::uint8_t* src = dst + n - offset;
+    if (offset >= length) {
+      std::memcpy(dst + n, src, length);
+    } else {
+      // Overlapping copy (a run): byte order matters.
+      for (std::size_t i = 0; i < length; ++i) dst[n + i] = src[i];
+    }
+    n += length;
   }
   return out;
 }

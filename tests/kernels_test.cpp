@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -342,6 +343,118 @@ TEST(LzssTest, DecodeRejectsCorruptStreams) {
   // A match pointing before the start of the block.
   std::vector<std::uint8_t> bogus = {0x00, 0xFF, 0xFF, 0xFF};
   EXPECT_FALSE(lzss_decode(bogus, 20, small_lzss()).ok());
+}
+
+/// The bit-at-a-time decoder lzss_decode replaced, kept as the oracle for
+/// the fuzz test below: every outcome (bytes, status code and message)
+/// must match it.
+Result<std::vector<std::uint8_t>> reference_lzss_decode(
+    std::span<const std::uint8_t> compressed, std::size_t original_size,
+    const LzssParams& params) {
+  if (!params.valid()) return InvalidArgument("bad LZSS parameters");
+  std::size_t bit_pos = 0;
+  auto get_bits = [&](std::uint32_t count, std::uint32_t& value) {
+    value = 0;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      if (bit_pos >= compressed.size() * 8) return false;
+      const bool bit =
+          ((compressed[bit_pos / 8] >> (7 - bit_pos % 8)) & 1u) != 0;
+      ++bit_pos;
+      value = (value << 1) | (bit ? 1u : 0u);
+    }
+    return true;
+  };
+  std::vector<std::uint8_t> out;
+  out.reserve(original_size);
+  while (out.size() < original_size) {
+    std::uint32_t literal = 0;
+    if (!get_bits(1, literal)) {
+      return DataLoss("LZSS stream truncated before expected output size");
+    }
+    if (literal != 0) {
+      std::uint32_t byte = 0;
+      if (!get_bits(8, byte)) {
+        return DataLoss("LZSS stream truncated inside a literal");
+      }
+      out.push_back(static_cast<std::uint8_t>(byte));
+    } else {
+      std::uint32_t offset_m1 = 0, len_m = 0;
+      if (!get_bits(LzssParams::kOffsetBits, offset_m1) ||
+          !get_bits(LzssParams::kLengthBits, len_m)) {
+        return DataLoss("LZSS stream truncated inside a match");
+      }
+      const std::size_t offset = offset_m1 + 1;
+      const std::size_t length = len_m + params.min_match;
+      if (offset > out.size()) {
+        return DataLoss("LZSS match reaches before the block start");
+      }
+      if (out.size() + length > original_size) {
+        return DataLoss("LZSS match overruns the declared output size");
+      }
+      const std::size_t src = out.size() - offset;
+      for (std::size_t i = 0; i < length; ++i) out.push_back(out[src + i]);
+    }
+  }
+  return out;
+}
+
+// Seeded fuzz: valid, truncated, bit-flipped, mis-sized and random streams
+// through lzss_decode and the oracle. Every DataLoss case must be reached.
+TEST(LzssTest, DecodeFuzzMatchesBitAtATimeOracle) {
+  Xoshiro256 rng(0xDEC0DE);
+  std::map<std::string, int> outcomes;
+  auto check = [&](std::span<const std::uint8_t> stream, std::size_t size,
+                   const LzssParams& p) {
+    const auto got = lzss_decode(stream, size, p);
+    const auto want = reference_lzss_decode(stream, size, p);
+    ASSERT_EQ(got.ok(), want.ok());
+    if (want.ok()) {
+      ASSERT_EQ(got.value(), want.value());
+      ++outcomes["ok"];
+    } else {
+      ASSERT_EQ(got.status().code(), want.status().code());
+      ASSERT_EQ(got.status().message(), want.status().message());
+      ++outcomes[want.status().message()];
+    }
+  };
+  for (int iter = 0; iter < 400; ++iter) {
+    LzssParams p;
+    p.window_size = iter % 2 == 0 ? 256 : 4096;
+    p.mode = iter % 3 == 0 ? LzssMode::kLegacy : LzssMode::kChain;
+    p.min_match = 2 + static_cast<std::uint32_t>(rng() % 3);
+    p.max_match = p.min_match + 15;
+    // Runs of a few symbols with random spans: matches of every length
+    // and distance, including overlapping (run) copies.
+    std::vector<std::uint8_t> input(rng() % 3000);
+    for (auto& b : input) {
+      b = static_cast<std::uint8_t>(rng() % (iter % 5 == 0 ? 256 : 3));
+    }
+    const auto stream = lzss_encode(input, p);
+    check(stream, input.size(), p);
+    check(stream, input.size() + 1 + rng() % 40, p);
+    if (!input.empty()) check(stream, rng() % input.size(), p);
+    if (!stream.empty()) {
+      check(std::span(stream).first(rng() % stream.size()), input.size(), p);
+      auto flipped = stream;
+      for (int k = 0, flips = 1 + static_cast<int>(rng() % 3); k < flips;
+           ++k) {
+        flipped[rng() % flipped.size()] ^=
+            static_cast<std::uint8_t>(1u << (rng() % 8));
+      }
+      check(flipped, input.size(), p);
+    }
+    std::vector<std::uint8_t> noise(rng() % 64);
+    for (auto& b : noise) b = static_cast<std::uint8_t>(rng());
+    check(noise, rng() % 200, p);
+  }
+  for (const char* reason :
+       {"ok", "LZSS stream truncated before expected output size",
+        "LZSS stream truncated inside a literal",
+        "LZSS stream truncated inside a match",
+        "LZSS match reaches before the block start",
+        "LZSS match overruns the declared output size"}) {
+    EXPECT_GT(outcomes[reason], 0) << reason;
+  }
 }
 
 TEST(LzssTest, InvalidParamsRejected) {
