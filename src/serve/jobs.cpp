@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <exception>
 #include <span>
 #include <string>
 #include <thread>
@@ -237,7 +238,59 @@ void JobEngine::run_cpu(const JobRequest& req, JobResult& result) {
   finalize_dedup(batches, req.dedup, result);
 }
 
+Status check_dedup_payload_size(std::uint64_t bytes) {
+  if (bytes > kMaxDedupPayloadBytes) {
+    return InvalidArgument("job too large: dedup payload " +
+                           std::to_string(bytes) + " B over " +
+                           std::to_string(kMaxDedupPayloadBytes));
+  }
+  return OkStatus();
+}
+
+Status check_job_size(const JobRequest& job) {
+  switch (job.kind) {
+    case JobKind::kMandel: {
+      const int dim = job.mandel.dim;
+      if (dim > kMaxMandelDim) {
+        return InvalidArgument("job too large: mandel dim " +
+                               std::to_string(dim) + " over " +
+                               std::to_string(kMaxMandelDim));
+      }
+      const std::uint64_t side = dim > 0 ? static_cast<std::uint64_t>(dim) : 0;
+      const std::uint64_t iters =
+          job.mandel.niter > 0 ? static_cast<std::uint64_t>(job.mandel.niter)
+                               : 0;
+      if (side * side * iters > kMaxMandelWork) {
+        return InvalidArgument("job too large: mandel dim*dim*niter " +
+                               std::to_string(side * side * iters) +
+                               " over " + std::to_string(kMaxMandelWork));
+      }
+      return OkStatus();
+    }
+    case JobKind::kDedup:
+      return check_dedup_payload_size(job.payload.size());
+    case JobKind::kSynthetic:
+      if (job.synthetic_ns > kMaxSyntheticNs) {
+        return InvalidArgument("job too large: synthetic " +
+                               std::to_string(job.synthetic_ns) + " ns over " +
+                               std::to_string(kMaxSyntheticNs));
+      }
+      return OkStatus();
+  }
+  return InvalidArgument("unknown job kind");
+}
+
 JobResult JobEngine::run(const JobRequest& req) {
+  try {
+    return run_ladder(req);
+  } catch (const std::exception& e) {
+    JobResult failed;
+    failed.status = Internal(std::string("job threw: ") + e.what());
+    return failed;
+  }
+}
+
+JobResult JobEngine::run_ladder(const JobRequest& req) {
   JobResult result;
   if (req.kind == JobKind::kSynthetic) {
     // Pure wall-clock occupancy of this worker; no device, no retry ladder.

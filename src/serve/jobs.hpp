@@ -49,6 +49,25 @@ struct JobRequest {
   std::uint64_t deadline_budget_ns = 0;
 };
 
+/// The largest job the service admits, per kind. check_job_size() is the
+/// one place these are enforced: parse_request applies it before building
+/// a job from a wire line, and Service::submit rejects anything over it
+/// with RejectCode::kTooLarge. A job's work is bounded, not just its
+/// memory: deadlines drop items only between stages, never mid-kernel.
+inline constexpr int kMaxMandelDim = 4096;
+/// Escape-time iterations a frame may ask for: dim * dim * niter.
+inline constexpr std::uint64_t kMaxMandelWork = std::uint64_t{1} << 32;
+inline constexpr std::uint64_t kMaxDedupPayloadBytes = 64u << 20;
+inline constexpr std::uint64_t kMaxSyntheticNs = 10'000'000'000;  // 10 s
+
+/// OkStatus when a dedup payload of `bytes` is within bounds (checked by
+/// parse_request before it synthesizes the payload).
+Status check_dedup_payload_size(std::uint64_t bytes);
+
+/// OkStatus when `job` is within the bounds above, else InvalidArgument
+/// naming the bound ("job too large: ...").
+Status check_job_size(const JobRequest& job);
+
 struct JobResult {
   Status status;
   std::uint64_t checksum = 0;      ///< path-independent output fingerprint
@@ -68,7 +87,9 @@ class JobEngine {
             RetryStats* stats, int replica_id);
 
   /// Executes one job through the full ladder. Always returns a usable
-  /// result: the CPU rung cannot fail.
+  /// result and never throws: the CPU rung cannot fail, and an exception
+  /// anywhere in the job (e.g. bad_alloc for a frame no bound admitted)
+  /// comes back as an Internal status, so the ticket still resolves.
   JobResult run(const JobRequest& req);
 
  private:
@@ -80,6 +101,7 @@ class JobEngine {
   Status mandel_once(int device, const JobRequest& req, JobResult& result);
   Status dedup_once(int device, const JobRequest& req, JobResult& result);
   void run_cpu(const JobRequest& req, JobResult& result);
+  JobResult run_ladder(const JobRequest& req);
 
   auto jitter_delay() {
     return [this](int retry_index) { backoff_.wait(retry_index); };

@@ -24,6 +24,7 @@ std::string_view reject_code_name(RejectCode code) {
     case RejectCode::kOverload: return "overload";
     case RejectCode::kShuttingDown: return "shutting-down";
     case RejectCode::kQuota: return "quota";
+    case RejectCode::kTooLarge: return "too-large";
   }
   return "?";
 }
@@ -477,6 +478,9 @@ SubmitResult Service::submit(std::string_view tenant, JobRequest request,
   };
   if (!impl_->running.load(std::memory_order_acquire)) {
     return reject(RejectCode::kShuttingDown, "service not accepting work");
+  }
+  if (Status size = check_job_size(request); !size.ok()) {
+    return reject(RejectCode::kTooLarge, size.message());
   }
 
   const ServiceConfig& cfg = impl_->config;

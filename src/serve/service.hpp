@@ -52,6 +52,7 @@ enum class RejectCode : std::uint8_t {
   kOverload,      ///< shed: queue full / watermark / p99 over budget
   kShuttingDown,  ///< service is stopped or draining
   kQuota,         ///< tenant exceeded its queued or in-flight quota
+  kTooLarge,      ///< over a per-kind size/work bound (check_job_size)
 };
 
 std::string_view reject_code_name(RejectCode code);

@@ -99,14 +99,15 @@ Result<WireRequest> parse_request(std::string_view line) {
     req.job.kind = JobKind::kMandel;
     req.job.mandel.dim = dim;
     req.job.mandel.niter = niter;
+    HS_RETURN_IF_ERROR(check_job_size(req.job));
     return req;
   }
   if (toks[2] == "dedup") {
     std::uint64_t bytes = 0;
-    if (toks.size() != 4 || !parse_u64(toks[3], bytes) || bytes < 1 ||
-        bytes > (64u << 20)) {
-      return InvalidArgument("job dedup: want <payload_bytes> (<= 64MB)");
+    if (toks.size() != 4 || !parse_u64(toks[3], bytes) || bytes < 1) {
+      return InvalidArgument("job dedup: want <payload_bytes>");
     }
+    HS_RETURN_IF_ERROR(check_dedup_payload_size(bytes));
     req.job.kind = JobKind::kDedup;
     req.job.payload = synth_payload(bytes);
     return req;
@@ -174,6 +175,8 @@ Result<WireResponse> parse_response(std::string_view line) {
       resp.code = RejectCode::kShuttingDown;
     } else if (toks[1] == reject_code_name(RejectCode::kQuota)) {
       resp.code = RejectCode::kQuota;
+    } else if (toks[1] == reject_code_name(RejectCode::kTooLarge)) {
+      resp.code = RejectCode::kTooLarge;
     } else {
       return InvalidArgument("unknown reject code '" + std::string(toks[1]) +
                              "'");

@@ -31,6 +31,17 @@
 #include "serve/wrr.hpp"
 #include "telemetry/telemetry.hpp"
 
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define HS_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define HS_TEST_SANITIZED 1
+#endif
+#endif
+#ifndef HS_TEST_SANITIZED
+#define HS_TEST_SANITIZED 0
+#endif
+
 namespace hs::serve {
 namespace {
 
@@ -979,7 +990,103 @@ TEST(WireTest, ResponseForMapsSubmitOutcomes) {
   EXPECT_NE(r3.detail.find("engine exploded"), std::string::npos);
 }
 
+// ---- Job size bounds -----------------------------------------------------------
+
+TEST(JobBoundsTest, AdmitsEverySizeInUseAndRejectsOversizedJobs) {
+  // Frames the tests, benches and the benchmark submit, and the corners.
+  for (auto [dim, niter] : {std::pair{32, 200}, std::pair{32, 300},
+                            std::pair{48, 500}, std::pair{64, 500},
+                            std::pair{32, 2000}, std::pair{4096, 256},
+                            std::pair{1, 2147483647}}) {
+    EXPECT_TRUE(check_job_size(mandel_job(dim, niter)).ok())
+        << dim << "x" << niter;
+  }
+  for (auto [dim, niter] : {std::pair{2000000000, 1}, std::pair{4097, 1},
+                            std::pair{4096, 257}, std::pair{2000, 200000}}) {
+    const Status s = check_job_size(mandel_job(dim, niter));
+    EXPECT_EQ(s.code(), ErrorCode::kInvalidArgument) << dim << "x" << niter;
+    EXPECT_NE(s.message().find("job too large"), std::string::npos);
+  }
+  EXPECT_TRUE(check_dedup_payload_size(kMaxDedupPayloadBytes).ok());
+  EXPECT_FALSE(check_dedup_payload_size(kMaxDedupPayloadBytes + 1).ok());
+  EXPECT_TRUE(check_job_size(dedup_job()).ok());
+  JobRequest synth;
+  synth.kind = JobKind::kSynthetic;
+  synth.synthetic_ns = kMaxSyntheticNs;
+  EXPECT_TRUE(check_job_size(synth).ok());
+  synth.synthetic_ns = kMaxSyntheticNs + 1;
+  EXPECT_FALSE(check_job_size(synth).ok());
+}
+
+TEST(JobBoundsTest, ServiceRejectsOversizedJobAsTooLarge) {
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  Service service(nullptr, cfg);
+  ASSERT_TRUE(service.start().ok());
+  auto big = service.submit("t", mandel_job(2000000000, 1));
+  ASSERT_FALSE(big.accepted());
+  EXPECT_EQ(big.rejected->code, RejectCode::kTooLarge);
+  EXPECT_EQ(reject_code_name(big.rejected->code), "too-large");
+  EXPECT_NE(big.rejected->detail.find("job too large"), std::string::npos);
+  // The service keeps serving.
+  auto ok = service.submit("t", mandel_job());
+  ASSERT_TRUE(ok.accepted());
+  EXPECT_TRUE(ok.result.get().status.ok());
+  ASSERT_TRUE(service.stop().ok());
+
+  const WireResponse resp = response_for(big, {});
+  EXPECT_EQ(encode_response(resp), "rejected too-large");
+  auto back = parse_response(encode_response(resp));
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value().code, RejectCode::kTooLarge);
+}
+
+// A job that throws inside the engine (here a frame no bound admitted, run
+// on the engine directly: its CPU rung's frame allocation fails) must come
+// back as an error result, not an exception that strands the ticket.
+TEST(JobBoundsTest, ThrowingJobReturnsErrorResult) {
+  if (HS_TEST_SANITIZED) {
+    GTEST_SKIP() << "sanitizer allocators abort on oversized requests "
+                    "instead of failing them";
+  }
+  JobEngine engine(nullptr, nullptr, nullptr, RetryPolicy{}, nullptr, 0);
+  const JobResult r = engine.run(mandel_job(2000000000, 1));
+  EXPECT_EQ(r.status.code(), ErrorCode::kInternal);
+  EXPECT_NE(r.status.message().find("job threw"), std::string::npos);
+  // The engine stays usable.
+  EXPECT_TRUE(engine.run(mandel_job()).status.ok());
+}
+
 #if defined(__unix__) || defined(__APPLE__)
+// The request that used to abort the listener (std::future_error: Broken
+// promise): it now gets an err reply and the server keeps answering.
+TEST(WireTest, OversizedRequestGetsErrorReplyAndServerSurvives) {
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  Service service(nullptr, cfg);
+  ASSERT_TRUE(service.start().ok());
+  WireServer server(&service);
+  ASSERT_TRUE(server.start().ok());
+
+  WireClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server.port()).ok());
+  auto big = client.call("job t mandel 2000000000 1");
+  ASSERT_TRUE(big.ok()) << big.status().ToString();
+  EXPECT_EQ(big.value().kind, WireResponse::Kind::kErr);
+  EXPECT_NE(big.value().detail.find("job too large"), std::string::npos);
+  auto pong = client.call("ping");
+  ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+  EXPECT_EQ(pong.value().kind, WireResponse::Kind::kPong);
+  auto ok = client.call("job t mandel 32 300");
+  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ(ok.value().kind, WireResponse::Kind::kOk);
+
+  (void)client.call("quit");
+  client.close();
+  server.stop();
+  ASSERT_TRUE(service.stop().ok());
+}
+
 TEST(WireTest, LoopbackServerBridgesJobsStatsAndErrors) {
   ServiceConfig cfg;
   cfg.workers = 2;
