@@ -248,8 +248,7 @@ void encode_chain_walk(simd::LzssChainMatcher::Block blk,
     const std::uint32_t nbits = is_match ? kMatchBits : 9;
     const std::uint32_t advance = is_match ? m.length : 1;
     out.put_bits(token, nbits);
-    const std::uint32_t insert_end =
-        std::min(pos + advance, search_end);
+    const std::uint32_t insert_end = std::min(pos + advance, search_end);
     for (std::uint32_t q = pos + 1; q < insert_end; ++q) blk.insert(q);
     pos += advance;
   }
@@ -336,9 +335,9 @@ Result<std::vector<std::uint8_t>> lzss_decode(
     if (!in.have(1 + kFieldBits)) {
       return DataLoss("LZSS stream truncated inside a match");
     }
-    const std::uint32_t fields =
-        in.peek(1 + kFieldBits) & ((1u << kFieldBits) - 1u);
-    in.skip(1 + kFieldBits);
+    in.skip(1);
+    const std::uint32_t fields = in.peek(kFieldBits);
+    in.skip(kFieldBits);
     const std::size_t offset = (fields >> LzssParams::kLengthBits) + 1;
     const std::size_t length =
         (fields & ((1u << LzssParams::kLengthBits) - 1u)) + params.min_match;

@@ -260,10 +260,11 @@ Status check_job_size(const JobRequest& job) {
       const std::uint64_t iters =
           job.mandel.niter > 0 ? static_cast<std::uint64_t>(job.mandel.niter)
                                : 0;
-      if (side * side * iters > kMaxMandelWork) {
+      const std::uint64_t work = side * side * iters;
+      if (work > kMaxMandelWork) {
         return InvalidArgument("job too large: mandel dim*dim*niter " +
-                               std::to_string(side * side * iters) +
-                               " over " + std::to_string(kMaxMandelWork));
+                               std::to_string(work) + " over " +
+                               std::to_string(kMaxMandelWork));
       }
       return OkStatus();
     }
