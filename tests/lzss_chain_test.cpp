@@ -273,10 +273,11 @@ bool same_matches(const std::vector<LzssMatch>& a,
 // 1; `b` touches only the 64 buckets of its 4-symbol alphabet, on the
 // last tags that fit; then `c` runs on the restarted tags. `c` is `a` with
 // every third byte flipped, followed by `a` itself, so each trigram of
-// its second half would find `a`'s leftover entry for that trigram — at
-// the same tag, now aliasing a position of `c`'s first half that shares
-// two bytes with it. At min_match 2 that is a match a fresh matcher never
-// reports; only the clear at the wrap removes those entries.
+// its second half would find `a`'s leftover entry for that trigram at the
+// same tag — now naming the same offset in `c`'s first half, whose first
+// two bytes still match for every third position. At min_match 2 that is
+// a match a fresh matcher never reports; only the clear at the wrap
+// removes those entries.
 TEST(LzssChainTest, TagWrapMatchesFreshMatcher) {
   const auto a = random_bytes(3000, 0x3A9);
   const auto b = four_symbol_bytes(20000, 'w', 2);
