@@ -647,13 +647,31 @@ std::vector<KernelRow> kernel_dispatch_rows(int reps) {
       });
     };
     rows.push_back({"lzss_match", name, lzss_row(cfg.lzss)});
-    // Seed-configuration reference (brute-force window 256): the CI perf
-    // gate asserts chain/legacy from the same run, immune to host noise.
+    // Seed configuration (legacy, window 256), encoded through the exact
+    // chain walk.
     kernels::LzssParams legacy = cfg.lzss;
     legacy.mode = kernels::LzssMode::kLegacy;
     legacy.window_size = 256;
     legacy.chain_depth = 8;
     rows.push_back({"lzss_match_legacy", name, lzss_row(legacy)});
+    // The seed brute-force scan at the positions the legacy encoder emits
+    // (no bit writer): the same-run reference the CI perf gate divides by,
+    // immune to host noise.
+    rows.push_back({"lzss_match_scan", name, best_of([&] {
+                      for (std::size_t k = 0; k < starts.size(); ++k) {
+                        const std::size_t b = starts[k];
+                        const std::size_t e = k + 1 < starts.size()
+                                                  ? starts[k + 1]
+                                                  : input.size();
+                        for (std::size_t pos = b; pos < e;) {
+                          const kernels::LzssMatch m =
+                              kernels::lzss_longest_match(input, b, e, pos,
+                                                          legacy);
+                          benchmark::DoNotOptimize(m);
+                          pos += m.length >= legacy.min_match ? m.length : 1;
+                        }
+                      }
+                    })});
   }
   simd::set_active_level(saved);
   // Single-stream whole-input hash — the container's input-digest path at

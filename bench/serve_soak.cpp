@@ -19,7 +19,7 @@
 //
 // Examples:
 //   serve_soak --quick
-//   serve_soak --duration=30 --faults=launch.p=0.02,alloc.p=0.01 \
+//   serve_soak --duration=30 --faults=launch.p=0.02,alloc.p=0.01
 //              --sched=adaptive --json=BENCH_serve.json
 #include <algorithm>
 #include <atomic>

@@ -219,7 +219,10 @@ void append_bytes(PooledBuffer& sink, const std::uint8_t* p, std::size_t n) {
 /// interior-insert loop bound. Tokens land in a thread-local arena through
 /// RawBitWriter and are appended to the sink in one shot — the walk itself
 /// does no capacity checks and, warm, no allocation.
-template <typename Sink>
+///
+/// kExact selects the exact legacy walk (find_insert_exact) over the
+/// bounded chain walk; the emitter is the same.
+template <bool kExact, typename Sink>
 void encode_chain_walk(simd::LzssChainMatcher::Block blk,
                        std::span<const std::uint8_t> block,
                        const LzssParams& params, Sink& out_bytes) {
@@ -238,7 +241,12 @@ void encode_chain_walk(simd::LzssChainMatcher::Block blk,
   const std::uint32_t search_end = blk.search_end();
   std::uint32_t pos = 0;
   while (pos < search_end) {
-    const LzssMatch m = blk.find_insert(pos);
+    LzssMatch m;
+    if constexpr (kExact) {
+      m = blk.find_insert_exact(pos);
+    } else {
+      m = blk.find_insert(pos);
+    }
     const bool is_match = m.length >= min_match;
     const std::uint32_t token =
         is_match ? (static_cast<std::uint32_t>(m.offset - 1)
@@ -270,14 +278,21 @@ template <typename Sink>
 void encode_dispatch(std::span<const std::uint8_t> input,
                      std::size_t block_start, std::size_t block_end,
                      const LzssParams& params, Sink& out_bytes) {
-  if (params.mode == LzssMode::kChain) {
+  // Legacy matches shorter than kHashBytes (min_match 2) are not on any
+  // chain, so that configuration keeps the brute-force scan.
+  if (params.mode == LzssMode::kChain ||
+      params.min_match >= simd::LzssChainMatcher::kHashBytes) {
     // Reset onto the block's own bytes: the tag then advances by the
     // bytes encoded, not by the whole batch per block.
     const auto block = input.subspan(block_start, block_end - block_start);
     simd::LzssChainMatcher& matcher = chain_matcher();
     matcher.reset(block, params, simd::active_level());
-    encode_chain_walk(matcher.block(0, block.size()), block, params,
-                      out_bytes);
+    const simd::LzssChainMatcher::Block blk = matcher.block(0, block.size());
+    if (params.mode == LzssMode::kChain) {
+      encode_chain_walk<false>(blk, block, params, out_bytes);
+    } else {
+      encode_chain_walk<true>(blk, block, params, out_bytes);
+    }
     return;
   }
   encode_walk(input, block_start, block_end, params,

@@ -32,10 +32,14 @@ namespace hs::kernels {
 /// Match-finder selection. The bit stream format is identical either way —
 /// any decoder reads both — but the encoded bytes differ, so goldens pin
 /// one mode.
-///  * kLegacy: the seed brute-force window scan (exact longest match,
-///    oldest candidate on ties). Bit-exact with every archive golden
-///    recorded before the chain matcher existed; the modeled/paper rows
-///    stay on it.
+///  * kLegacy: the seed's exact match (longest in the window, oldest
+///    candidate on ties). lzss_encode finds it through the hash-chain
+///    tables with an unbounded walk (LzssChainMatcher::Block::
+///    find_insert_exact, ~5x the seed brute-force scan); min_match 2 and
+///    find_matches_batch / the simulated-GPU kernels keep the scan,
+///    lzss_longest_match. Either way the bytes are bit-exact with every
+///    archive golden recorded before the chain matcher existed; the
+///    modeled/paper rows stay on it.
 ///  * kChain: LZ4/zlib-style hash-chain matcher (3-byte hash heads +
 ///    chained previous positions, bounded walk depth) — approximate
 ///    (bounded depth, newest-first ties) but ~20-50x faster. All pipeline
@@ -89,7 +93,8 @@ LzssMatch lzss_longest_match(std::span<const std::uint8_t> input,
                              std::size_t block_start, std::size_t block_end,
                              std::size_t pos, const LzssParams& params);
 
-/// CPU one-shot encoder for input[block_start, block_end).
+/// CPU one-shot encoder for input[block_start, block_end). Legacy mode
+/// emits exactly the matches lzss_longest_match finds.
 std::vector<std::uint8_t> lzss_encode(std::span<const std::uint8_t> input,
                                       std::size_t block_start,
                                       std::size_t block_end,

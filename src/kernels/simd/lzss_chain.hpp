@@ -1,9 +1,11 @@
 // Hash-chain LZSS match finder (DESIGN.md §4j) — the LzssMode::kChain
-// engine behind lzss_encode/find_matches_batch.
+// engine behind lzss_encode/find_matches_batch, and the LzssMode::kLegacy
+// engine behind lzss_encode.
 //
-// The legacy matcher scans every window position per input byte:
-// O(n·window) and, at 0.02 GB/s, ~50x slower than rabin/SHA-1 — the
-// compress-stage imbalance the paper's dedup analysis calls out. The chain
+// The seed matcher (lzss_longest_match, still the per-thread FindMatch
+// body of find_matches_batch and the simulated GPU kernels) scans every
+// window position per query: O(n·window), ~0.01-0.02 GB/s at window 256 —
+// the compress-stage imbalance the paper's dedup analysis calls out. This
 // matcher is the classic LZ4/zlib structure instead, laid out so both
 // tables fit in a 48 KiB L1d together (32 KiB + at most 8 KiB):
 //
@@ -44,19 +46,28 @@
 // possible length is reached. insert(pos) does only the linking, for the
 // positions a match covers.
 //
+// find_insert_exact(pos) is the legacy engine: the same link, then a walk
+// with no depth bound that returns exactly the brute-force scan's match
+// (longest, oldest on ties) whenever min_match >= kHashBytes — every
+// candidate that can reach min_match shares pos's first 3 bytes, so it is
+// on the chain. Candidates that reach the lookahead cap end the walk; the
+// oldest one is then found by racing the rest of the chain against an
+// oldest-first byte scan (oldest_full), which keeps runs (all-zero, short
+// periods), where the chain holds every window position, cheap.
+//
 // State in locals. block() hands out a Block: a value copy of the base
 // pointer, table pointers, tag and params. Kept as a local by the encode
 // walk and the batch loop, none of it can be aliased by the bit writer's
 // byte stores, so the walk runs with everything in registers.
 //
-// Purity contract (what keeps every pipeline variant bit-identical in
-// chain mode): the match find_insert(pos) returns depends only on the
-// input bytes and on the set of inserted positions in [block_start, pos)
-// — stale, cross-block and out-of-window candidates end the walk before
-// they cost depth budget, so it does not matter whether other blocks of
-// the batch were inserted (find_matches_batch / the simulated-GPU
-// FindMatch) or only this block's positions (the inline per-block
-// encode, which resets onto the block's own bytes).
+// Purity contract (what keeps every pipeline variant bit-identical): the
+// match find_insert(pos) or find_insert_exact(pos) returns depends only on
+// the input bytes and on the set of inserted positions in
+// [block_start, pos) — stale, cross-block and out-of-window candidates end
+// the walk before they cost depth budget, so it does not matter whether
+// other blocks of the batch were inserted (find_matches_batch / the
+// simulated-GPU FindMatch) or only this block's positions (the inline
+// per-block encode, which resets onto the block's own bytes).
 #pragma once
 
 #include <bit>
@@ -110,6 +121,22 @@ class LzssChainMatcher {
       return walk(pos, dist, back < window_ ? back : window_, lookahead);
     }
 
+    /// Links `pos` into its chain and returns the exact legacy match: the
+    /// longest among ALL positions in [max(block_start, pos - window),
+    /// pos), ties to the oldest — lzss_longest_match's result whenever
+    /// min_match >= kHashBytes. Same preconditions as find_insert(), and
+    /// every position in [block_start, pos) must have been inserted.
+    [[nodiscard, gnu::always_inline]] LzssMatch find_insert_exact(
+        std::uint32_t pos) {
+      const std::uint32_t dist = link(pos);
+      const std::uint32_t room = block_end_ - pos;
+      const std::uint32_t lookahead = max_match_ < room ? max_match_ : room;
+      if (lookahead < min_match_) return LzssMatch{};
+      const std::uint32_t back = pos - block_start_;
+      return walk_exact(pos, dist, back < window_ ? back : window_,
+                        lookahead);
+    }
+
     /// Links `pos` into its chain without a query (positions a match
     /// covers). Requires block_start <= pos < search_end().
     void insert(std::uint32_t pos) { link(pos); }
@@ -119,7 +146,7 @@ class LzssChainMatcher {
 
     [[nodiscard]] std::uint32_t hash3(std::uint32_t pos) const {
       // One 2-byte load + one byte (little-endian, like the word compare
-      // in walk()); reading 4 bytes could cross the input's end.
+      // in prefix()); reading 4 bytes could cross the input's end.
       std::uint16_t lo;
       std::memcpy(&lo, base_ + pos, 2);
       const std::uint32_t v =
@@ -158,26 +185,7 @@ class LzssChainMatcher {
         // at index best_len (at 0 this screens hash collisions). In
         // bounds: best_len < limit <= dist and < block_end - pos.
         if (limit > best_len && cand[best_len] == cur[best_len]) {
-          // Inlined first-8-bytes compare (the common case at max_match
-          // 18 — an indirect call per candidate would dominate the walk);
-          // the per-level vectorized body only extends tails past 8. Loads
-          // are in bounds: limit >= 8 implies pos + 8 <= block_end and
-          // cand + 8 <= pos.
-          std::uint32_t len;
-          if (limit >= 8) {
-            std::uint64_t x, y;
-            std::memcpy(&x, cand, 8);
-            std::memcpy(&y, cur, 8);
-            if (x != y) {
-              len = static_cast<std::uint32_t>(std::countr_zero(x ^ y)) >> 3;
-            } else {
-              len = 8 + static_cast<std::uint32_t>(
-                            compare_(cand + 8, cur + 8, limit - 8));
-            }
-          } else {
-            len = 0;
-            while (len < limit && cand[len] == cur[len]) ++len;
-          }
+          const std::uint32_t len = prefix(cand, cur, limit);
           if (len > best_len) {
             best_len = len;
             best_dist = dist;
@@ -190,6 +198,109 @@ class LzssChainMatcher {
       if (best_len < min_match_) return LzssMatch{};
       return LzssMatch{static_cast<std::uint16_t>(best_len),
                        static_cast<std::uint16_t>(best_dist)};
+    }
+
+    /// Common-prefix length of cand and cur, up to `limit` bytes: the
+    /// first 8 inline (the common case at max_match 18 — an indirect call
+    /// per candidate would dominate a walk), the tail through the
+    /// per-level vectorized body. Loads are in bounds: limit >= 8 implies
+    /// cur + 8 <= block_end and cand + 8 <= cur.
+    [[nodiscard, gnu::always_inline]] std::uint32_t prefix(
+        const std::uint8_t* cand, const std::uint8_t* cur,
+        std::uint32_t limit) const {
+      if (limit < 8) {
+        std::uint32_t len = 0;
+        while (len < limit && cand[len] == cur[len]) ++len;
+        return len;
+      }
+      std::uint64_t x, y;
+      std::memcpy(&x, cand, 8);
+      std::memcpy(&y, cur, 8);
+      if (x != y) {
+        return static_cast<std::uint32_t>(std::countr_zero(x ^ y)) >> 3;
+      }
+      return 8 + static_cast<std::uint32_t>(
+                     compare_(cand + 8, cur + 8, limit - 8));
+    }
+
+    /// The exact walk: no depth bound, so it ends only at the window or
+    /// block bound. A match of length >= min_match >= 3 shares its first 3
+    /// bytes with pos, so its candidate sits on this chain (hash
+    /// collisions only add candidates). The result — the longest length,
+    /// then the oldest candidate — does not depend on visiting order, so
+    /// the walk takes the candidates in two passes. The first takes those
+    /// at least `lookahead` back, the only ones whose length is not capped
+    /// below the cap by their distance; once one reaches the cap,
+    /// oldest_full() finishes. Otherwise the second pass re-walks the
+    /// newest ones (a run puts ~lookahead of them at the chain's head), and
+    /// each of those must strictly beat the first pass's best. Within a
+    /// pass, walking newest-first, a tie replaces the best (`>=`): the
+    /// oldest of the longest wins, as in the legacy scan.
+    [[nodiscard, gnu::always_inline]] LzssMatch walk_exact(
+        std::uint32_t pos, std::uint32_t dist, std::uint32_t reach,
+        std::uint32_t lookahead) const {
+      const std::uint8_t* const cur = base_ + pos;
+      const std::uint32_t newest = dist;
+      // `need` is the length a candidate must reach to become the best.
+      // Tie-or-extend prune: such a candidate matches at index need - 1,
+      // which is in bounds: need - 1 < limit <= dist and < block_end - pos.
+      std::uint32_t need = min_match_;
+      std::uint32_t best_len = 0;
+      std::uint32_t best_dist = 0;
+      for (; dist - 1 < reach; dist += prev_[(pos - dist) & prev_mask_]) {
+        if (dist < lookahead) continue;
+        const std::uint8_t* const cand = cur - dist;
+        if (cand[need - 1] != cur[need - 1]) continue;
+        const std::uint32_t len = prefix(cand, cur, lookahead);
+        if (len < need) continue;
+        if (len == lookahead) {
+          return LzssMatch{static_cast<std::uint16_t>(len),
+                           static_cast<std::uint16_t>(
+                               oldest_full(pos, dist, reach, lookahead))};
+        }
+        need = best_len = len;
+        best_dist = dist;
+      }
+      if (best_dist != 0) need = best_len + 1;
+      for (dist = newest; dist - 1 < reach && dist < lookahead;
+           dist += prev_[(pos - dist) & prev_mask_]) {
+        const std::uint8_t* const cand = cur - dist;
+        if (dist < need || cand[need - 1] != cur[need - 1]) continue;
+        const std::uint32_t len = prefix(cand, cur, dist);
+        if (len < need) continue;
+        need = best_len = len;
+        best_dist = dist;
+      }
+      if (best_dist == 0) return LzssMatch{};
+      return LzssMatch{static_cast<std::uint16_t>(best_len),
+                       static_cast<std::uint16_t>(best_dist)};
+    }
+
+    /// The oldest candidate matching all `lookahead` bytes, given that the
+    /// one `dist` back does. Two exact searches race over (dist, reach]:
+    /// the chain walked on newest-first (visits only same-hash candidates:
+    /// few in text) and a byte scan from the window start oldest-first
+    /// (its first hit is the answer: at once on runs, where the chain
+    /// holds every position). kScanBurst scan steps per chain hop; they
+    /// stop when the scan meets the chain or the chain leaves the window.
+    /// Every candidate here is at least `dist` >= lookahead back, so no
+    /// length is capped below lookahead.
+    [[nodiscard]] std::uint32_t oldest_full(std::uint32_t pos,
+                                            std::uint32_t dist,
+                                            std::uint32_t reach,
+                                            std::uint32_t lookahead) const {
+      const std::uint8_t* const cur = base_ + pos;
+      std::uint32_t best = dist;
+      std::uint32_t scan = reach;  // (scan, reach] holds no full match
+      for (;;) {
+        for (std::uint32_t k = 0; k < kScanBurst; ++k, --scan) {
+          if (scan <= dist) return best;
+          if (prefix(cur - scan, cur, lookahead) == lookahead) return scan;
+        }
+        dist += prev_[(pos - dist) & prev_mask_];
+        if (dist - 1 >= reach || dist > scan) return best;
+        if (prefix(cur - dist, cur, lookahead) == lookahead) best = dist;
+      }
     }
 
     const std::uint8_t* base_ = nullptr;
@@ -215,6 +326,8 @@ class LzssChainMatcher {
 
   static constexpr std::uint32_t kHashBits = 13;
   static constexpr std::uint16_t kNoLink = 0xFFFF;
+  /// Scan steps per chain hop in oldest_full().
+  static constexpr std::uint32_t kScanBurst = 8;
 
   const std::uint8_t* base_ = nullptr;
   LzssParams params_{};

@@ -54,18 +54,24 @@ bool parse_int(std::string_view tok, int& out) {
   return true;
 }
 
-/// Deterministic compressible-ish payload for wire dedup jobs: repeating
-/// 251-byte ramp, so the dedup path sees duplicate blocks without the wire
-/// ever carrying the bytes.
+}  // namespace
+
 std::vector<std::uint8_t> synth_payload(std::uint64_t bytes) {
+  constexpr std::size_t kPeriod = 251;
   std::vector<std::uint8_t> payload(bytes);
-  for (std::uint64_t i = 0; i < bytes; ++i) {
-    payload[i] = static_cast<std::uint8_t>(i % 251);
+  const std::size_t head = std::min<std::size_t>(bytes, kPeriod);
+  for (std::size_t i = 0; i < head; ++i) {
+    payload[i] = static_cast<std::uint8_t>(i);
+  }
+  // [0, filled) is a whole number of periods, so copying a prefix of it
+  // to `filled` keeps byte i == i % 251; the filled part doubles per copy.
+  for (std::size_t filled = head; filled < bytes;) {
+    const std::size_t n = std::min<std::size_t>(filled, bytes - filled);
+    std::memcpy(payload.data() + filled, payload.data(), n);
+    filled += n;
   }
   return payload;
 }
-
-}  // namespace
 
 Result<WireRequest> parse_request(std::string_view line) {
   const auto toks = tokenize(line);

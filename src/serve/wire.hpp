@@ -28,6 +28,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status.hpp"
 #include "serve/service.hpp"
@@ -54,6 +55,11 @@ struct WireResponse {
   std::uint64_t accepted = 0, shed = 0, quota_rejects = 0, completed = 0;
   int workers = 0;               ///< kStats
 };
+
+/// The payload a `job <tenant> dedup <bytes>` line stands for: byte i is
+/// i % 251, a repeating ramp, so the dedup path sees duplicate blocks
+/// without the wire ever carrying the bytes.
+std::vector<std::uint8_t> synth_payload(std::uint64_t bytes);
 
 /// Parses one request line (no trailing newline). InvalidArgument on
 /// malformed input — the server answers those with an err line rather than

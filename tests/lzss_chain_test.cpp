@@ -306,5 +306,142 @@ TEST(LzssChainTest, TagWrapMatchesFreshMatcher) {
   expect_round_trip(c, p, "min_match 2");
 }
 
+/// One shape of fuzz input for the legacy differential below.
+std::vector<std::uint8_t> legacy_fuzz_input(std::uint32_t shape,
+                                            std::size_t n,
+                                            std::uint64_t seed) {
+  std::vector<std::uint8_t> out(n);
+  switch (shape) {
+    case 0: return random_bytes(n, seed);
+    case 1: return four_symbol_bytes(n, 'a', seed);
+    case 2: return out;  // all zero
+    case 3:
+      for (std::size_t i = 0; i < n; ++i) out[i] = i % 2 ? 0x5A : 0xA5;
+      return out;
+    case 4:
+      for (std::size_t i = 0; i < n; ++i) {
+        out[i] = static_cast<std::uint8_t>(i % 251);
+      }
+      return out;
+    case 5: return structured_bytes(n, seed);
+    default: {
+      const datagen::CorpusKind kinds[] = {datagen::CorpusKind::kParsecLike,
+                                           datagen::CorpusKind::kSourceLike,
+                                           datagen::CorpusKind::kSilesiaLike};
+      return datagen::generate({kinds[seed % 3], n, seed});
+    }
+  }
+}
+
+/// Sorted block starts over n bytes (starts[0] == 0): a mix of long
+/// blocks and 1- and 2-byte ones.
+std::vector<std::uint32_t> uneven_starts(std::size_t n, Xoshiro256& rng) {
+  std::vector<std::uint32_t> starts{0};
+  while (true) {
+    const std::uint64_t r = rng() % 8;
+    const std::size_t len = r == 0   ? 1
+                            : r == 1 ? 2
+                                     : 3 + rng() % 6000;
+    const std::size_t next = starts.back() + len;
+    if (next >= n) break;
+    starts.push_back(static_cast<std::uint32_t>(next));
+  }
+  return starts;
+}
+
+/// find_insert_exact at every searchable position of every block, all
+/// blocks inserted into one matcher (the batched form).
+std::vector<LzssMatch> exact_matches(simd::LzssChainMatcher& m,
+                                     std::span<const std::uint8_t> input,
+                                     std::span<const std::uint32_t> starts,
+                                     const LzssParams& p) {
+  m.reset(input, p, simd::active_level());
+  std::vector<LzssMatch> out(input.size());
+  for (std::size_t k = 0; k < starts.size(); ++k) {
+    const std::size_t e =
+        k + 1 < starts.size() ? starts[k + 1] : input.size();
+    simd::LzssChainMatcher::Block blk = m.block(starts[k], e);
+    for (std::uint32_t pos = starts[k]; pos < blk.search_end(); ++pos) {
+      out[pos] = blk.find_insert_exact(pos);
+    }
+  }
+  return out;
+}
+
+// The legacy encoder finds its matches through the exact chain walk; the
+// oracle is the brute-force scan (lzss_longest_match, which
+// find_matches_batch runs in legacy mode) fed to the plain encode walk.
+// Seeded iterations at every SIMD level sweep windows 2..4096, min_match
+// 2..4 and max_match, input shapes from random to all-zero runs, and
+// uneven block bounds. Each iteration checks the encoded bytes per block
+// and, for min_match >= 3, the exact walk's match at every position. The
+// tail drives the walk across the tag wrap.
+TEST(LzssChainTest, LegacyEncodeMatchesScanOracle) {
+  const simd::Level saved = simd::active_level();
+  constexpr std::uint32_t kWindows[] = {2,   3,   4,    7,    16,   17,  18,
+                                        19,  64,  251,  256,  1000, 2048,
+                                        4095, 4096};
+  for (simd::Level level : supported_levels()) {
+    simd::set_active_level(level);
+    Xoshiro256 rng(0x1E6AC7 + static_cast<std::uint64_t>(level));
+    for (std::uint32_t iter = 0; iter < 70; ++iter) {
+      LzssParams p;
+      p.window_size = kWindows[rng() % std::size(kWindows)];
+      p.min_match = 2 + static_cast<std::uint32_t>(rng() % 3);
+      p.max_match = p.min_match + 1 + static_cast<std::uint32_t>(rng() % 15);
+      ASSERT_TRUE(p.valid());
+      const std::uint32_t shape = iter % 7;
+      const std::size_t n = 1 + rng() % 14000;
+      const auto input = legacy_fuzz_input(shape, n, rng());
+      const auto starts = uneven_starts(n, rng);
+      const std::string label =
+          std::string(simd::level_name(level)) + " iter " +
+          std::to_string(iter) + " shape " + std::to_string(shape) +
+          " n " + std::to_string(n) + " w " + std::to_string(p.window_size) +
+          " min " + std::to_string(p.min_match) + " max " +
+          std::to_string(p.max_match);
+
+      std::vector<LzssMatch> oracle;
+      find_matches_batch(input, starts, p, oracle);
+      for (std::size_t k = 0; k < starts.size(); ++k) {
+        const std::size_t b = starts[k];
+        const std::size_t e = k + 1 < starts.size() ? starts[k + 1] : n;
+        ASSERT_EQ(lzss_encode(input, b, e, p),
+                  lzss_encode_from_matches(input, b, e, oracle, p))
+            << label << " block " << k << " [" << b << ", " << e << ")";
+      }
+      if (p.min_match >= simd::LzssChainMatcher::kHashBytes) {
+        simd::LzssChainMatcher m;
+        ASSERT_TRUE(same_matches(exact_matches(m, input, starts, p), oracle))
+            << label;
+      }
+    }
+  }
+  simd::set_active_level(saved);
+
+  // Across the tag wrap, on the inputs of TagWrapMatchesFreshMatcher: `b`
+  // runs on the last tags that fit, then `c` on the restarted ones.
+  const auto a = random_bytes(3000, 0x3A9);
+  const auto b = four_symbol_bytes(20000, 'w', 2);
+  std::vector<std::uint8_t> c = a;
+  for (std::size_t i = 2; i < c.size(); i += 3) c[i] ^= 0x55;
+  c.insert(c.end(), a.begin(), a.end());
+  LzssParams p;
+  simd::LzssChainMatcher m;
+  const auto oracle = [&](std::span<const std::uint8_t> input) {
+    std::vector<LzssMatch> out;
+    const std::uint32_t starts[] = {0};
+    find_matches_batch(input, starts, p, out);
+    return out;
+  };
+  const std::uint32_t whole[] = {0};
+  EXPECT_TRUE(same_matches(exact_matches(m, a, whole, p), oracle(a)));
+  simd::LzssChainMatcherTestPeer::set_tag(
+      m, std::numeric_limits<std::uint32_t>::max() -
+             static_cast<std::uint32_t>(a.size() + b.size()));
+  EXPECT_TRUE(same_matches(exact_matches(m, b, whole, p), oracle(b)));
+  EXPECT_TRUE(same_matches(exact_matches(m, c, whole, p), oracle(c)));
+}
+
 }  // namespace
 }  // namespace hs::kernels

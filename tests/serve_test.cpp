@@ -909,6 +909,23 @@ TEST(WireTest, RequestFramingRoundTrips) {
   }
 }
 
+// The period-copy fill must give exactly the ramp byte i = i % 251, at the
+// sizes around one period and at a serve-sized payload; parse_request hands
+// the same bytes to the job.
+TEST(WireTest, SynthPayloadIsTheMod251Ramp) {
+  for (std::uint64_t n : {0u, 1u, 250u, 251u, 252u, 48u * 1024u}) {
+    const std::vector<std::uint8_t> payload = synth_payload(n);
+    ASSERT_EQ(payload.size(), n);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      ASSERT_EQ(payload[i], static_cast<std::uint8_t>(i % 251))
+          << "size " << n << " byte " << i;
+    }
+  }
+  auto d = parse_request("job t1 dedup 49152");
+  ASSERT_TRUE(d.ok());
+  EXPECT_EQ(d.value().job.payload, synth_payload(49152));
+}
+
 TEST(WireTest, ResponseFramingRoundTrips) {
   WireResponse ok;
   ok.kind = WireResponse::Kind::kOk;
