@@ -1,6 +1,5 @@
 // Generates the synthetic corpora (the stand-ins for the paper's three
-// Dedup datasets) to a file, for use with dedup_file / lzss_stream or
-// external tools.
+// Dedup datasets) to a file, for use with dedup_file or external tools.
 //
 //   ./make_corpus <parsec|source|silesia> <output> [--size=BYTES] [--seed=N]
 #include <cstdio>

@@ -5,6 +5,7 @@
 #include <cerrno>
 #include <charconv>
 #include <cstring>
+#include <exception>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -45,13 +46,11 @@ bool parse_u64(std::string_view tok, std::uint64_t& out) {
   return ec == std::errc() && ptr == tok.data() + tok.size();
 }
 
+/// Out-of-range values fail rather than wrap into range.
 bool parse_int(std::string_view tok, int& out) {
-  std::int64_t v = 0;
   const auto [ptr, ec] =
-      std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  if (ec != std::errc() || ptr != tok.data() + tok.size()) return false;
-  out = static_cast<int>(v);
-  return true;
+      std::from_chars(tok.data(), tok.data() + tok.size(), out);
+  return ec == std::errc() && ptr == tok.data() + tok.size();
 }
 
 }  // namespace
@@ -77,16 +76,13 @@ Result<WireRequest> parse_request(std::string_view line) {
   const auto toks = tokenize(line);
   if (toks.empty()) return InvalidArgument("empty request line");
   WireRequest req;
-  if (toks[0] == "ping") {
-    req.op = WireRequest::Op::kPing;
-    return req;
-  }
-  if (toks[0] == "stats") {
-    req.op = WireRequest::Op::kStats;
-    return req;
-  }
-  if (toks[0] == "quit") {
-    req.op = WireRequest::Op::kQuit;
+  if (toks[0] == "ping" || toks[0] == "stats" || toks[0] == "quit") {
+    if (toks.size() != 1) {
+      return InvalidArgument(std::string(toks[0]) + ": takes no arguments");
+    }
+    req.op = toks[0] == "ping"    ? WireRequest::Op::kPing
+             : toks[0] == "stats" ? WireRequest::Op::kStats
+                                  : WireRequest::Op::kQuit;
     return req;
   }
   if (toks[0] != "job") {
@@ -160,6 +156,7 @@ Result<WireResponse> parse_response(std::string_view line) {
   if (toks.empty()) return InvalidArgument("empty response line");
   WireResponse resp;
   if (toks[0] == "pong") {
+    if (toks.size() != 1) return InvalidArgument("malformed pong line");
     resp.kind = WireResponse::Kind::kPong;
     return resp;
   }
@@ -201,8 +198,12 @@ Result<WireResponse> parse_response(std::string_view line) {
     return resp;
   }
   if (toks[0] == "err") {
+    // The detail is everything after "err " (spaces kept), wherever the
+    // verb starts.
+    const std::size_t at = static_cast<std::size_t>(toks[0].data() -
+                                                    line.data()) + 4;
     resp.kind = WireResponse::Kind::kErr;
-    resp.detail = line.size() > 4 ? std::string(line.substr(4)) : "";
+    resp.detail = line.size() > at ? std::string(line.substr(at)) : "";
     return resp;
   }
   return InvalidArgument("unknown response '" + std::string(toks[0]) + "'");
@@ -281,9 +282,11 @@ struct WireServer::Impl {
   std::atomic<bool> stopping{false};
   std::atomic<int> connections{0};
 
-  std::mutex mu;  ///< guards conn_fds + conn_threads
+  std::mutex mu;  ///< guards conn_fds, conn_threads and finished
   std::vector<int> conn_fds;
   std::vector<std::thread> conn_threads;
+  /// Connection threads that have deregistered but are not yet joined.
+  std::vector<std::thread::id> finished;
 
   void serve_connection(int fd) {
     std::string rx;
@@ -339,8 +342,27 @@ struct WireServer::Impl {
       conn_fds.erase(std::remove(conn_fds.begin(), conn_fds.end(), fd),
                      conn_fds.end());
       ::close(fd);
+      finished.push_back(std::this_thread::get_id());
     }
     connections.fetch_sub(1, std::memory_order_relaxed);
+  }
+
+  /// Joins the connection threads that have finished serving, so an ended
+  /// connection does not keep its thread's stack mapped until stop().
+  void reap_finished() {
+    std::vector<std::thread> done;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      for (const std::thread::id id : finished) {
+        const auto it = std::find_if(
+            conn_threads.begin(), conn_threads.end(),
+            [id](const std::thread& t) { return t.get_id() == id; });
+        done.push_back(std::move(*it));
+        conn_threads.erase(it);
+      }
+      finished.clear();
+    }
+    for (std::thread& t : done) t.join();
   }
 
   /// `lfd` is a by-value copy: stop() invalidates the member while this
@@ -352,6 +374,7 @@ struct WireServer::Impl {
         if (errno == EINTR) continue;
         return;  // listener closed by stop()
       }
+      reap_finished();
       if (stopping.load(std::memory_order_acquire) ||
           connections.load(std::memory_order_relaxed) >=
               config.max_connections) {
@@ -363,7 +386,15 @@ struct WireServer::Impl {
       connections.fetch_add(1, std::memory_order_relaxed);
       std::lock_guard<std::mutex> lock(mu);
       conn_fds.push_back(fd);
-      conn_threads.emplace_back([this, fd] { serve_connection(fd); });
+      try {
+        conn_threads.emplace_back([this, fd] { serve_connection(fd); });
+      } catch (const std::exception&) {
+        // No thread to serve it (e.g. pthread_create failed): drop this
+        // connection and keep accepting rather than escape the acceptor.
+        conn_fds.pop_back();
+        ::close(fd);
+        connections.fetch_sub(1, std::memory_order_relaxed);
+      }
     }
   }
 };
@@ -433,6 +464,9 @@ void WireServer::stop() {
   for (std::thread& t : threads) {
     if (t.joinable()) t.join();
   }
+  // Every connection thread is joined, so their ids are stale.
+  std::lock_guard<std::mutex> lock(impl_->mu);
+  impl_->finished.clear();
 }
 
 int WireServer::port() const { return impl_->bound_port; }

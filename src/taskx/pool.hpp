@@ -54,9 +54,9 @@ class ThreadPool {
   [[nodiscard]] std::uint64_t steal_count() const;
 
   /// Runs queued tasks on the calling thread until `done` returns true.
-  /// Used by blocking waits (pipeline run, parallel_for) so the waiting
-  /// thread lends itself to the pool instead of idling — this also makes
-  /// single-thread pools deadlock-free.
+  /// Used by blocking waits (Pipeline::run) so the waiting thread lends
+  /// itself to the pool instead of idling — this also makes single-thread
+  /// pools deadlock-free.
   void help_while(const std::function<bool()>& done);
 
  private:

@@ -553,5 +553,51 @@ TEST_F(Fig5ModelTest, LabelsDescribeVariants) {
   EXPECT_NE(r2.label.find("per-block-kernels"), std::string::npos);
 }
 
+TEST(ParallelExtractTest, MatchesSerialExtract) {
+  datagen::CorpusSpec spec;
+  spec.kind = datagen::CorpusKind::kParsecLike;
+  spec.bytes = 400 * 1024;
+  auto input = datagen::generate(spec);
+  DedupConfig cfg;
+  cfg.batch_size = 64 * 1024;
+  for (DedupCodec codec : {DedupCodec::kLzss, DedupCodec::kLzssHuffman}) {
+    cfg.codec = codec;
+    auto archive = archive_sequential(input, cfg);
+    ASSERT_TRUE(archive.ok());
+    auto serial = extract(archive.value());
+    auto parallel = extract_parallel(archive.value(), 4);
+    ASSERT_TRUE(serial.ok());
+    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+    EXPECT_EQ(parallel.value(), serial.value());
+    EXPECT_EQ(parallel.value(), input);
+  }
+}
+
+TEST(ParallelExtractTest, CorruptArchivesFailCleanly) {
+  datagen::CorpusSpec spec;
+  spec.bytes = 100 * 1024;
+  auto input = datagen::generate(spec);
+  DedupConfig cfg;
+  cfg.batch_size = 32 * 1024;
+  auto archive = archive_sequential(input, cfg);
+  ASSERT_TRUE(archive.ok());
+  auto bad = archive.value();
+  bad[bad.size() / 2] ^= 0x04;
+  auto r = extract_parallel(bad, 4);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), ErrorCode::kDataLoss);
+}
+
+TEST(ParallelExtractTest, SingleReplicaWorks) {
+  std::vector<std::uint8_t> input(50000, 'q');
+  DedupConfig cfg;
+  cfg.batch_size = 8 * 1024;
+  auto archive = archive_sequential(input, cfg);
+  ASSERT_TRUE(archive.ok());
+  auto r = extract_parallel(archive.value(), 1);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.value(), input);
+}
+
 }  // namespace
 }  // namespace hs::dedup

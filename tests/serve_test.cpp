@@ -9,13 +9,17 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <future>
+#include <limits>
 #include <map>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "cudax/cudax.hpp"
 #include "datagen/corpus.hpp"
 #include "dedup/stages.hpp"
@@ -1007,6 +1011,162 @@ TEST(WireTest, ResponseForMapsSubmitOutcomes) {
   EXPECT_NE(r3.detail.find("engine exploded"), std::string::npos);
 }
 
+// ---- Wire parser fuzz ----------------------------------------------------------
+
+// A wire token as the encoders would write it: a decimal number loses its
+// leading zeros and the sign of zero; anything else stays as it is.
+std::string canonical_token(std::string_view tok) {
+  const bool negative = !tok.empty() && tok.front() == '-';
+  std::string_view digits = tok.substr(negative ? 1 : 0);
+  if (digits.empty() ||
+      digits.find_first_not_of("0123456789") != std::string_view::npos) {
+    return std::string(tok);
+  }
+  digits.remove_prefix(
+      std::min(digits.find_first_not_of('0'), digits.size() - 1));
+  return (negative && digits != "0" ? "-" : "") + std::string(digits);
+}
+
+/// The space-separated fields of `line`, runs of spaces counting as one.
+std::vector<std::string> split_fields(std::string_view line) {
+  std::vector<std::string> out;
+  for (std::size_t pos = 0; pos <= line.size();) {
+    const std::size_t end = std::min(line.find(' ', pos), line.size());
+    if (end > pos) out.emplace_back(line.substr(pos, end - pos));
+    pos = end + 1;
+  }
+  return out;
+}
+
+std::vector<std::string> canonical_tokens(std::string_view line) {
+  std::vector<std::string> toks = split_fields(line);
+  for (std::string& tok : toks) tok = canonical_token(tok);
+  return toks;
+}
+
+std::string encode_request(const WireRequest& req) {
+  switch (req.op) {
+    case WireRequest::Op::kJob: return encode_job_line(req.tenant, req.job);
+    case WireRequest::Op::kPing: return "ping";
+    case WireRequest::Op::kStats: return "stats";
+    case WireRequest::Op::kQuit: return "quit";
+  }
+  return "";
+}
+
+// The fuzz property for one line: `parse` either fails with
+// InvalidArgument, or returns a value whose encoding says what the line
+// said (no number wrapped, no field dropped) and parses back to the same
+// value.
+template <typename Parse, typename Encode>
+void check_line(const std::string& line, Parse parse, Encode encode) {
+  SCOPED_TRACE(::testing::PrintToString(line));
+  auto parsed = parse(line);
+  if (!parsed.ok()) {
+    EXPECT_EQ(parsed.status().code(), ErrorCode::kInvalidArgument);
+    return;
+  }
+  const std::string again = encode(parsed.value());
+  EXPECT_EQ(canonical_tokens(again), canonical_tokens(line));
+  auto back = parse(again);
+  ASSERT_TRUE(back.ok()) << again;
+  EXPECT_EQ(encode(back.value()), again);
+}
+
+void check_wire_line(const std::string& line) {
+  check_line(line, parse_request, encode_request);
+  check_line(line, parse_response, encode_response);
+}
+
+std::string fuzz_line(Xoshiro256& rng) {
+  static const std::vector<std::string> kValid = {
+      "ping", "stats", "quit", "job acme mandel 64 500", "job t1 dedup 512",
+      "job t mandel 1 1", "pong", "ok 7 123456 1", "ok 1 2 -1",
+      "rejected overload", "rejected shutting-down", "rejected quota",
+      "rejected too-large", "err deadline exceeded", "stats 10 2 1 8 3"};
+  static const std::vector<std::string> kNasty = {
+      "", "0", "-0", "-1", "007", "2147483647", "2147483648", "-2147483649",
+      "4294967297", "18446744073709551615", "18446744073709551616",
+      "99999999999999999999999", std::string("1\0" "2", 3), "1\r", "\r",
+      std::string(1, '\0'), "x", "job", "mandel", "dedup", "ping", "err"};
+  static constexpr std::string_view kBytes = "0123456789- \r\t\n\x7f\xff";
+  const auto pick = [&rng](const auto& v) -> const auto& {
+    return v[rng.bounded(v.size())];
+  };
+
+  std::string line = pick(kValid);
+  switch (rng.bounded(3)) {
+    case 0: {  // token mutations
+      std::vector<std::string> toks = split_fields(line);
+      for (std::uint64_t n = rng.range(1, 3); n > 0; --n) {
+        const std::size_t at = rng.bounded(toks.size() + 1);
+        switch (rng.bounded(4)) {
+          case 0:
+            if (at < toks.size()) toks[at] = pick(kNasty);
+            break;
+          case 1: toks.insert(toks.begin() + at, pick(kNasty)); break;
+          case 2:
+            if (at < toks.size()) toks.erase(toks.begin() + at);
+            break;
+          case 3:
+            if (at < toks.size()) toks.insert(toks.begin() + at, toks[at]);
+            break;
+        }
+      }
+      line.assign(rng.chance(0.1) ? rng.range(1, 2) : 0, ' ');
+      for (std::size_t i = 0; i < toks.size(); ++i) {
+        if (i > 0) line += rng.chance(0.1) ? "  " : " ";
+        line += toks[i];
+      }
+      if (rng.chance(0.1)) line += ' ';
+      break;
+    }
+    case 1:  // byte mutations
+      for (std::uint64_t n = rng.range(1, 4); n > 0; --n) {
+        const char c = rng.chance(0.5)
+                           ? kBytes[rng.bounded(kBytes.size())]
+                           : static_cast<char>(rng.bounded(256));
+        const std::size_t at = rng.bounded(line.size() + 1);
+        switch (rng.bounded(3)) {
+          case 0:
+            if (at < line.size()) line[at] = c;
+            break;
+          case 1: line.insert(line.begin() + at, c); break;
+          case 2:
+            if (at < line.size()) line.erase(at, 1);
+            break;
+        }
+      }
+      break;
+    case 2:  // random bytes
+      line.resize(rng.bounded(48));
+      for (char& c : line) c = static_cast<char>(rng.bounded(256));
+      break;
+  }
+  return line;
+}
+
+// No wire line may crash, hang or be misread. A seeded mutation fuzz of
+// both parsers (valid lines with token and byte edits, plus random bytes)
+// checks the property above on every line; it runs under the sanitizer
+// legs too.
+TEST(WireTest, ParsersSurviveFuzz) {
+  // Lines the loop below (seed 1) found misread, pinned: int fields that
+  // wrapped into range instead of failing, trailing fields ignored after a
+  // bare verb, and an err detail cut at a fixed offset under leading spaces.
+  for (const std::string line :
+       {"job t mandel 4294967297 1", "job t mandel 1 4294967297",
+        "ok 1  2 2147483648", "stats 10 2 1 8 -2147483649", "ping mandel",
+        " pong pong", "  err -1 deadline exceeded"}) {
+    check_wire_line(line);
+  }
+  Xoshiro256 rng(1);
+  for (int i = 0; i < 20000 && !HasFailure(); ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    check_wire_line(fuzz_line(rng));
+  }
+}
+
 // ---- Job size bounds -----------------------------------------------------------
 
 TEST(JobBoundsTest, AdmitsEverySizeInUseAndRejectsOversizedJobs) {
@@ -1147,6 +1307,59 @@ TEST(WireTest, LoopbackServerBridgesJobsStatsAndErrors) {
   server.stop();
   ASSERT_TRUE(service.stop().ok());
   EXPECT_GE(service.stats().completed, 2u);
+}
+
+/// This process's mapped address space in KiB (0 without /proc).
+std::uint64_t vm_size_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmSize:") {
+      std::uint64_t kib = 0;
+      status >> kib;
+      return kib;
+    }
+    status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  }
+  return 0;
+}
+
+// A connection that has ended must have its thread joined while the server
+// runs, not at stop(): an exited but unjoined thread keeps its stack (2 MiB
+// or more) mapped, so 256 of them add at least 512 MiB. The bound leaves
+// room for a few 64 MiB malloc arenas that threads may create late.
+TEST(WireTest, EndedConnectionThreadsAreReaped) {
+  if (vm_size_kib() == 0) GTEST_SKIP() << "needs /proc/self/status";
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  Service service(nullptr, cfg);
+  ASSERT_TRUE(service.start().ok());
+  WireServer server(&service);
+  ASSERT_TRUE(server.start().ok());
+
+  const auto round_trip = [&server](const std::string& line) {
+    WireClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port()).ok());
+    auto reply = client.call(line);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_NE(reply.value().kind, WireResponse::Kind::kErr);
+    // quit has no reply: the call returns once the server closed its end.
+    EXPECT_FALSE(client.call("quit").ok());
+  };
+  // Warm up: a job runs the service's threads, so their first allocations
+  // happen before the measurement.
+  round_trip("job t mandel 32 200");
+  round_trip("ping");
+  const std::uint64_t before = vm_size_kib();
+  constexpr int kConnections = 256;
+  for (int i = 0; i < kConnections; ++i) round_trip("ping");
+  const std::uint64_t after = vm_size_kib();
+  EXPECT_LT(after, before + 256 * 1024)
+      << "VmSize grew " << (after - before) / 1024 << " MiB over "
+      << kConnections << " ended connections";
+
+  server.stop();
+  ASSERT_TRUE(service.stop().ok());
 }
 #endif  // POSIX
 
