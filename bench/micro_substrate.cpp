@@ -1,14 +1,15 @@
-// Substrate microbenchmarks (real wall time): the lock-free SPSC queue,
-// flow farm throughput, taskx token pipeline, the computational kernels
-// (SHA-1, SHA-256, rabin, LZSS), and the dedup end-to-end datapath.
+// Substrate microbenchmarks (real wall time): the dedup end-to-end
+// datapath, the computational kernels (Rabin, SHA-1, LZSS) at every SIMD
+// dispatch level, the lock-free SPSC queue, the steady-state allocation
+// probe and the telemetry-overhead probe.
 //
 // Unlike the figure benches (which report modeled time on the calibrated
 // machine), these measure this host directly and exist to validate that
 // the substrates are real, working implementations.
 //
-// Default mode runs the dedup end-to-end suite and writes machine-readable
-// results (MB/s, ops/s, allocation counts) to BENCH_micro.json so the perf
-// trajectory is tracked across PRs. Flags:
+// Results (MB/s, GB/s, ops/s, allocation counts) go to BENCH_micro.json.
+// They are facts of the host that ran them, not comparable across hosts.
+// Flags:
 //   --json=PATH            output path (default BENCH_micro.json)
 //   --lzss=MODE            match finder for the measured rows: chain
 //                          (default; hash-chain, window 4096 depth 2) or
@@ -21,42 +22,28 @@
 //                          exit nonzero if enabling runtime metrics slows
 //                          the dedup e2e pipeline by more than PCT percent
 //                          (default budget 2%)
-//   --gbench [args...]     run the google-benchmark micro suite instead
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <numeric>
-#include <optional>
 #include <span>
-#include <string_view>
 #include <thread>
 
 #include "common/alloc_hook.hpp"
 #include "common/buffer_pool.hpp"
 #include "common/cli.hpp"
-#include "common/rng.hpp"
 #include "datagen/corpus.hpp"
 #include "dedup/container.hpp"
 #include "dedup/pipelines.hpp"
 #include "dedup/stages.hpp"
-#include "flow/adapters.hpp"
-#include "flow/pipeline.hpp"
 #include "flow/spsc_queue.hpp"
-#include "kernels/huffman.hpp"
 #include "kernels/lzss.hpp"
-#include "kernels/mandel.hpp"
 #include "kernels/rabin.hpp"
 #include "kernels/sha1.hpp"
-#include "kernels/sha256.hpp"
 #include "kernels/simd/dispatch.hpp"
 #include "kernels/simd/rabin_lanes.hpp"
 #include "kernels/simd/sha1_mb.hpp"
 #include "kernels/simd/sha1_ni.hpp"
-#include "taskx/pipeline.hpp"
-#include "taskx/pool.hpp"
 #include "telemetry/queue_sampler.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -74,198 +61,19 @@
 namespace hs {
 namespace {
 
-// ---- SPSC queue ----------------------------------------------------------------
-
-void BM_SpscQueuePingPong(benchmark::State& state) {
-  flow::SpscQueue<int> q(static_cast<std::size_t>(state.range(0)));
-  std::atomic<bool> stop{false};
-  std::thread consumer([&] {
-    int v;
-    while (!stop.load(std::memory_order_acquire)) {
-      while (q.try_pop(v)) {
-      }
-    }
-    while (q.try_pop(v)) {
-    }
-  });
-  std::int64_t pushed = 0;
-  for (auto _ : state) {
-    if (q.try_push(static_cast<int>(pushed))) ++pushed;
-  }
-  stop.store(true, std::memory_order_release);
-  consumer.join();
-  state.SetItemsProcessed(pushed);
+/// Compiler barrier (the one google-benchmark's DoNotOptimize uses on
+/// GCC/Clang): `v` counts as read and memory as clobbered, so the work that
+/// produced it cannot be elided or hoisted out of the timed region.
+template <class T>
+inline __attribute__((always_inline)) void do_not_optimize(const T& v) {
+  asm volatile("" : : "r,m"(v) : "memory");
 }
-BENCHMARK(BM_SpscQueuePingPong)->Arg(64)->Arg(1024);
-
-void BM_SpscQueueUncontended(benchmark::State& state) {
-  flow::SpscQueue<int> q(1024);
-  int v = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(q.try_push(1));
-    benchmark::DoNotOptimize(q.try_pop(v));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_SpscQueueUncontended);
-
-// ---- flow farm ------------------------------------------------------------------
-
-void BM_FlowFarmThroughput(benchmark::State& state) {
-  const int items = 20000;
-  for (auto _ : state) {
-    flow::Pipeline p;
-    p.add_stage(flow::make_source<int>(
-                    [i = 0, items]() mutable -> std::optional<int> {
-                      return i < items ? std::optional<int>(i++)
-                                       : std::nullopt;
-                    }),
-                "src");
-    p.add_farm(flow::stage_factory<int, int>([](int v) { return v + 1; }),
-               flow::FarmOptions{
-                   .replicas = static_cast<int>(state.range(0)),
-                   .ordered = true},
-               "farm");
-    long long sum = 0;
-    p.add_stage(flow::make_sink<int>([&](int v) { sum += v; }), "sink");
-    if (!p.run_and_wait().ok()) state.SkipWithError("pipeline failed");
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() * items);
-}
-BENCHMARK(BM_FlowFarmThroughput)->Arg(1)->Arg(2)->Arg(4);
-
-// ---- taskx pipeline -----------------------------------------------------------------
-
-void BM_TaskxPipelineThroughput(benchmark::State& state) {
-  const int items = 20000;
-  taskx::ThreadPool pool(4);
-  for (auto _ : state) {
-    taskx::Pipeline p([i = 0, items]() mutable -> std::optional<taskx::Item> {
-      if (i >= items) return std::nullopt;
-      return taskx::Item::of<int>(i++);
-    });
-    p.add_filter(taskx::FilterMode::kParallel, [](taskx::Item in) {
-      return taskx::Item::of<int>(in.as<int>() + 1);
-    });
-    long long sum = 0;
-    p.add_filter(taskx::FilterMode::kSerialInOrder, [&](taskx::Item in) {
-      sum += in.as<int>();
-      return in;
-    });
-    if (!p.run(pool, static_cast<std::size_t>(state.range(0))).ok()) {
-      state.SkipWithError("pipeline failed");
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() * items);
-}
-BENCHMARK(BM_TaskxPipelineThroughput)->Arg(4)->Arg(38);
-
-// ---- kernels -----------------------------------------------------------------------
-
-std::vector<std::uint8_t> bench_data(std::size_t n) {
-  datagen::CorpusSpec spec;
-  spec.kind = datagen::CorpusKind::kSilesiaLike;
-  spec.bytes = n;
-  return datagen::generate(spec);
-}
-
-void BM_Sha1(benchmark::State& state) {
-  auto data = bench_data(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kernels::Sha1::hash(data));
-  }
-  state.SetBytesProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_Sha1)->Arg(4096)->Arg(1 << 20);
-
-void BM_Sha256(benchmark::State& state) {
-  auto data = bench_data(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kernels::Sha256::hash(data));
-  }
-  state.SetBytesProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_Sha256)->Arg(1 << 20);
-
-void BM_RabinChunking(benchmark::State& state) {
-  auto data = bench_data(static_cast<std::size_t>(state.range(0)));
-  kernels::Rabin rabin;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rabin.chunk_boundaries(data));
-  }
-  state.SetBytesProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_RabinChunking)->Arg(1 << 20);
-
-void BM_LzssEncode(benchmark::State& state) {
-  auto data = bench_data(static_cast<std::size_t>(state.range(0)));
-  kernels::LzssParams params;
-  params.window_size = static_cast<std::uint32_t>(state.range(1));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kernels::lzss_encode(data, params));
-  }
-  state.SetBytesProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_LzssEncode)->Args({64 << 10, 64})->Args({64 << 10, 256});
-
-void BM_LzssDecode(benchmark::State& state) {
-  auto data = bench_data(static_cast<std::size_t>(state.range(0)));
-  kernels::LzssParams params;
-  params.window_size = 256;
-  auto compressed = kernels::lzss_encode(data, params);
-  for (auto _ : state) {
-    auto out = kernels::lzss_decode(compressed, data.size(), params);
-    if (!out.ok()) state.SkipWithError("decode failed");
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetBytesProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_LzssDecode)->Arg(256 << 10);
-
-void BM_HuffmanEncode(benchmark::State& state) {
-  auto data = bench_data(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kernels::huffman_encode(data));
-  }
-  state.SetBytesProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_HuffmanEncode)->Arg(256 << 10);
-
-void BM_HuffmanDecode(benchmark::State& state) {
-  auto data = bench_data(static_cast<std::size_t>(state.range(0)));
-  auto compressed = kernels::huffman_encode(data);
-  for (auto _ : state) {
-    auto out = kernels::huffman_decode(compressed, data.size());
-    if (!out.ok()) state.SkipWithError("decode failed");
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetBytesProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_HuffmanDecode)->Arg(256 << 10);
-
-void BM_MandelLine(benchmark::State& state) {
-  kernels::MandelParams p;
-  p.dim = 512;
-  p.niter = static_cast<int>(state.range(0));
-  std::vector<std::uint8_t> row(static_cast<std::size_t>(p.dim));
-  int i = p.dim / 2;  // a line crossing the set
-  std::uint64_t iters = 0;
-  for (auto _ : state) {
-    iters += kernels::mandel_line(p, i, row);
-    benchmark::DoNotOptimize(row.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(iters));
-}
-BENCHMARK(BM_MandelLine)->Arg(1000)->Arg(10000);
 
 // ---- dedup end-to-end + JSON emission ----------------------------------------------
 
 struct E2eRow {
   std::string name;
   double mb_per_s = 0;
-  double baseline_mb_per_s = 0;  ///< pre-pooling measurement; 0 = none
   std::uint64_t input_bytes = 0;
   std::uint64_t archive_bytes = 0;
   std::string archive_sha1;
@@ -277,8 +85,8 @@ struct E2eRow {
 /// The modeled figure benches and the golden suites stay on legacy.
 kernels::LzssMode g_lzss_mode = kernels::LzssMode::kChain;
 
-/// Probe configuration shared with the recorded pre-PR baselines and the
-/// golden bit-exactness tests: 8 MB inputs, 256 KiB batches, ~2 kB blocks.
+/// Probe configuration shared with the golden bit-exactness tests: 8 MB
+/// inputs, 256 KiB batches, ~2 kB blocks.
 /// In chain mode the matcher runs its tuned configuration (window 4096 =
 /// the format max, depth 2): the chain walk is depth-bounded rather than
 /// window-bounded, so the bigger window is simultaneously faster (fewer
@@ -297,29 +105,6 @@ dedup::DedupConfig e2e_config() {
 
 constexpr std::uint64_t kE2eInputBytes = 8 * 1000 * 1000;
 
-/// Sequential/SPar-CPU numbers measured on this container immediately
-/// before the pooled datapath landed (same config and inputs, best of 3) —
-/// the denominators of the cross-PR perf trajectory.
-double baseline_mb_s(std::string_view name) {
-  if (name == "dedup_e2e_sequential_parsec") return 13.04;
-  if (name == "dedup_e2e_sequential_source") return 13.58;
-  if (name == "dedup_e2e_sequential_silesia") return 11.48;
-  if (name == "dedup_e2e_spar_cpu4_parsec") return 13.88;
-  return 0;
-}
-
-std::string sha1_hex(std::span<const std::uint8_t> data) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  auto digest = kernels::Sha1::hash(data);
-  std::string out;
-  out.reserve(40);
-  for (std::uint8_t b : digest) {
-    out += kHex[b >> 4];
-    out += kHex[b & 0xF];
-  }
-  return out;
-}
-
 E2eRow run_e2e(const std::string& name, datagen::CorpusKind kind, bool spar,
                int reps) {
   datagen::CorpusSpec spec;
@@ -330,7 +115,6 @@ E2eRow run_e2e(const std::string& name, datagen::CorpusKind kind, bool spar,
 
   E2eRow row;
   row.name = name;
-  row.baseline_mb_per_s = baseline_mb_s(name);
   row.input_bytes = input.size();
   for (int r = 0; r < reps; ++r) {
     const std::uint64_t allocs_before = heap_alloc_count();
@@ -352,7 +136,8 @@ E2eRow run_e2e(const std::string& name, datagen::CorpusKind kind, bool spar,
     }
     if (r == 0) {
       row.archive_bytes = archive.value().size();
-      row.archive_sha1 = sha1_hex(archive.value());
+      row.archive_sha1 =
+          kernels::digest_hex(kernels::Sha1::hash(archive.value()));
     }
   }
   return row;
@@ -463,7 +248,7 @@ double spsc_ops_per_s(bool batched, std::size_t items) {
   }
   producer.join();
   const auto t1 = std::chrono::steady_clock::now();
-  benchmark::DoNotOptimize(sink);
+  do_not_optimize(sink);
   return static_cast<double>(items) /
          std::chrono::duration<double>(t1 - t0).count();
 }
@@ -626,11 +411,11 @@ std::vector<KernelRow> kernel_dispatch_rows(int reps) {
     rows.push_back({"rabin", name, best_of([&] {
                       simd::rabin_boundaries_at(level, rabin, input, cuts,
                                                 &rscratch);
-                      benchmark::DoNotOptimize(cuts.data());
+                      do_not_optimize(cuts.data());
                     })});
     rows.push_back({"sha1", name, best_of([&] {
                       simd::sha1_many(jobs.data(), jobs.size(), &sscratch);
-                      benchmark::DoNotOptimize(digests.data());
+                      do_not_optimize(digests.data());
                     })});
     // Pooled sink: the row measures the encoder, not the allocator — this
     // is the same entry the dedup compress stage runs.
@@ -642,7 +427,7 @@ std::vector<KernelRow> kernel_dispatch_rows(int reps) {
           const std::size_t e =
               k + 1 < starts.size() ? starts[k + 1] : input.size();
           kernels::lzss_encode(input, b, e, params, out);
-          benchmark::DoNotOptimize(out.data());
+          do_not_optimize(out.data());
         }
       });
     };
@@ -667,7 +452,7 @@ std::vector<KernelRow> kernel_dispatch_rows(int reps) {
                           const kernels::LzssMatch m =
                               kernels::lzss_longest_match(input, b, e, pos,
                                                           legacy);
-                          benchmark::DoNotOptimize(m);
+                          do_not_optimize(m);
                           pos += m.length >= legacy.min_match ? m.length : 1;
                         }
                       }
@@ -681,12 +466,12 @@ std::vector<KernelRow> kernel_dispatch_rows(int reps) {
   kernels::Sha1Digest whole{};
   rows.push_back({"sha1_stream", "scalar", best_of([&] {
                     whole = kernels::Sha1::hash(input);
-                    benchmark::DoNotOptimize(whole.data());
+                    do_not_optimize(whole.data());
                   })});
   if (simd::sha1_ni_available()) {
     rows.push_back({"sha1_stream", "sha_ni", best_of([&] {
                       whole = simd::sha1_hash_ni(input);
-                      benchmark::DoNotOptimize(whole.data());
+                      do_not_optimize(whole.data());
                     })});
   }
   return rows;
@@ -716,9 +501,6 @@ void write_json(const std::string& path, const std::vector<E2eRow>& rows,
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const E2eRow& r = rows[i];
     out << "    {\"name\": \"" << r.name << "\", \"mb_per_s\": " << r.mb_per_s
-        << ", \"baseline_mb_per_s\": " << r.baseline_mb_per_s
-        << ", \"speedup_vs_baseline\": "
-        << (r.baseline_mb_per_s > 0 ? r.mb_per_s / r.baseline_mb_per_s : 0)
         << ", \"input_bytes\": " << r.input_bytes
         << ", \"archive_bytes\": " << r.archive_bytes
         << ", \"archive_sha1\": \"" << r.archive_sha1
@@ -811,12 +593,7 @@ int run_e2e_suite(const CliArgs& args) {
               kE2eInputBytes / 1e6, reps,
               kernels::lzss_mode_name(g_lzss_mode).data());
   for (const E2eRow& r : rows) {
-    std::printf("  %-32s %7.2f MB/s", r.name.c_str(), r.mb_per_s);
-    if (r.baseline_mb_per_s > 0) {
-      std::printf("  (baseline %.2f, %.2fx)", r.baseline_mb_per_s,
-                  r.mb_per_s / r.baseline_mb_per_s);
-    }
-    std::printf("\n");
+    std::printf("  %-32s %7.2f MB/s\n", r.name.c_str(), r.mb_per_s);
   }
   std::printf("kernel dispatch levels (GB/s, dispatch=%s):\n",
               kernels::simd::level_name(kernels::simd::active_level()).data());
@@ -865,22 +642,7 @@ int run_e2e_suite(const CliArgs& args) {
 }  // namespace hs
 
 int main(int argc, char** argv) {
-  bool gbench = false;
-  std::vector<char*> rest;
-  for (int i = 0; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--gbench") {
-      gbench = true;
-    } else {
-      rest.push_back(argv[i]);
-    }
-  }
-  if (gbench) {
-    int rest_argc = static_cast<int>(rest.size());
-    benchmark::Initialize(&rest_argc, rest.data());
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
-  }
-  auto args = hs::CliArgs::Parse(static_cast<int>(rest.size()), rest.data());
+  auto args = hs::CliArgs::Parse(argc, argv);
   if (!args.ok()) {
     std::fprintf(stderr, "%s\n", args.status().ToString().c_str());
     return 1;

@@ -41,9 +41,6 @@ hs::Result<std::vector<std::uint8_t>> compress(
   hs::dedup::DedupConfig cfg;
   cfg.batch_size = static_cast<std::uint32_t>(
       args.get_bytes("batch-size", 1 << 20));
-  if (args.get_string("codec", "lzss") == "lzss-huffman") {
-    cfg.codec = hs::dedup::DedupCodec::kLzssHuffman;
-  }
   const std::string backend = args.get_string("backend", "spar");
   const int replicas = static_cast<int>(args.get_int("replicas", 4));
   const int gpus = static_cast<int>(args.get_int("gpus", 1));

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
-#include <deque>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <deque>
 
 namespace hs::cluster {
 
@@ -22,6 +24,15 @@ std::vector<std::string> split_ws(std::string_view line) {
   return out;
 }
 
+/// Records the attribute name of `token` (the part before '=') in `seen`;
+/// false when the line already used it.
+bool first_use(std::vector<std::string_view>& seen, std::string_view token) {
+  const std::string_view key = token.substr(0, token.find('='));
+  if (std::find(seen.begin(), seen.end(), key) != seen.end()) return false;
+  seen.push_back(key);
+  return true;
+}
+
 /// "key=value" -> value, or empty when the token has a different key.
 std::string_view kv(std::string_view token, std::string_view key) {
   if (token.size() > key.size() + 1 && token.substr(0, key.size()) == key &&
@@ -32,25 +43,24 @@ std::string_view kv(std::string_view token, std::string_view key) {
 }
 
 /// Strict double parse of the whole token (no exceptions; strtod + full
-/// consumption check), scaled by `scale`.
+/// consumption check), scaled by `scale`. NaN, infinities and values that
+/// overflow once scaled fail.
 bool parse_number(std::string_view s, double scale, double* out) {
   if (s.empty()) return false;
   std::string buf(s);
   char* end = nullptr;
   double v = std::strtod(buf.c_str(), &end);
   if (end != buf.c_str() + buf.size()) return false;
-  *out = v * scale;
+  v *= scale;
+  if (!std::isfinite(v)) return false;
+  *out = v;
   return true;
 }
 
+/// Out-of-range values fail rather than wrap into range.
 bool parse_int(std::string_view s, int* out) {
-  if (s.empty()) return false;
-  std::string buf(s);
-  char* end = nullptr;
-  long v = std::strtol(buf.c_str(), &end, 10);
-  if (end != buf.c_str() + buf.size()) return false;
-  *out = static_cast<int>(v);
-  return true;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
+  return ec == std::errc() && ptr == s.data() + s.size();
 }
 
 /// Number with an optional decimal byte suffix (KB/MB/GB), case-insensitive.
@@ -103,6 +113,13 @@ Status line_error(std::size_t lineno, const std::string& what) {
                          what);
 }
 
+/// GPUs one spec line may give a node: the line allocates a DeviceSpec per
+/// GPU, so an unbounded count is an allocation of the spec's choosing.
+constexpr int kMaxGpusPerNode = 64;
+/// Link bounds validate() enforces.
+constexpr double kMinLinkBandwidth = 1.0;  ///< bytes/s
+constexpr double kMaxLinkLatencyS = 3600.0;
+
 }  // namespace
 
 int Topology::node_index(std::string_view name) const {
@@ -137,13 +154,15 @@ Status Topology::validate() const {
     if (l.a == l.b) {
       return InvalidArgument("self-link on node '" + l.a + "'");
     }
-    if (!(l.bandwidth_bytes_per_s > 0)) {
+    // Bounds that keep every transfer time (lat + bytes/bw) finite.
+    if (!(l.bandwidth_bytes_per_s >= kMinLinkBandwidth) ||
+        !std::isfinite(l.bandwidth_bytes_per_s)) {
       return InvalidArgument("link " + l.a + "-" + l.b +
-                             ": bandwidth must be positive");
+                             ": bandwidth must be finite and >= 1 B/s");
     }
-    if (l.latency_s < 0) {
+    if (!(l.latency_s >= 0 && l.latency_s <= kMaxLinkLatencyS)) {
       return InvalidArgument("link " + l.a + "-" + l.b +
-                             ": negative latency");
+                             ": latency must be in [0, 3600] s");
     }
     for (std::size_t j = 0; j < i; ++j) {
       const LinkSpec& m = links[j];
@@ -176,7 +195,11 @@ Result<Topology> parse_topology(std::string_view text) {
       NodeSpec node;
       node.name = tok[1];
       int gpus = 0;
+      std::vector<std::string_view> seen;
       for (std::size_t t = 2; t < tok.size(); ++t) {
+        if (!first_use(seen, tok[t])) {
+          return line_error(lineno, "repeated node attribute '" + tok[t] + "'");
+        }
         if (auto v = kv(tok[t], "cores"); !v.empty()) {
           if (!parse_int(v, &node.cores)) {
             return line_error(lineno, "bad cores value '" + std::string(v) + "'");
@@ -185,7 +208,11 @@ Result<Topology> parse_topology(std::string_view text) {
           if (!parse_int(g, &gpus)) {
             return line_error(lineno, "bad gpus value '" + std::string(g) + "'");
           }
-          if (gpus < 0) return line_error(lineno, "gpus must be >= 0");
+          if (gpus < 0 || gpus > kMaxGpusPerNode) {
+            return line_error(lineno, "gpus must be in [0, " +
+                                          std::to_string(kMaxGpusPerNode) +
+                                          "]");
+          }
         } else {
           return line_error(lineno, "unknown node attribute '" + tok[t] + "'");
         }
@@ -199,7 +226,11 @@ Result<Topology> parse_topology(std::string_view text) {
       link.a = tok[1];
       link.b = tok[2];
       bool have_bw = false;
+      std::vector<std::string_view> seen;
       for (std::size_t t = 3; t < tok.size(); ++t) {
+        if (!first_use(seen, tok[t])) {
+          return line_error(lineno, "repeated link attribute '" + tok[t] + "'");
+        }
         if (auto v = kv(tok[t], "bw"); !v.empty()) {
           if (!parse_bytes_per_s(v, &link.bandwidth_bytes_per_s)) {
             return line_error(lineno, "bad bw value '" + std::string(v) + "'");

@@ -14,9 +14,12 @@
 //
 // bw accepts KB/MB/GB suffixes (decimal); lat accepts s/ms/us/ns. Links
 // are full duplex unless marked `half` (one shared engine both ways).
-// Validation rejects duplicate node names, duplicate links, self-links,
-// links referencing unknown nodes, non-positive bandwidth, negative
-// latency, and empty topologies.
+// Numbers parse strictly: ints that do not fit, NaN and infinities fail,
+// as does an attribute repeated on one line, and a node takes at most 64
+// GPUs. Validation rejects duplicate node names, duplicate links,
+// self-links, links referencing unknown nodes, bandwidth below 1 B/s,
+// latency outside [0, 3600] s (so every transfer time stays finite), and
+// empty topologies.
 #pragma once
 
 #include <cstdint>

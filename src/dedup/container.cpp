@@ -6,8 +6,6 @@
 
 #include "flow/adapters.hpp"
 #include "flow/pipeline.hpp"
-
-#include "kernels/huffman.hpp"
 #include "kernels/simd/sha1_ni.hpp"
 
 namespace hs::dedup {
@@ -16,6 +14,8 @@ namespace {
 
 constexpr char kMagic[8] = {'H', 'S', 'D', 'E', 'D', 'U', 'P', '1'};
 constexpr std::uint32_t kVersion = 1;
+/// Payload codec recorded in the header: 0 = LZSS, the only codec.
+constexpr std::uint32_t kCodecLzss = 0;
 constexpr std::size_t kHeaderSize = 8 + 4 + 4 + 8 + 8 + 4 + 4;
 
 /// Cap on allocations driven by untrusted header fields. Sizes above this
@@ -67,7 +67,6 @@ class Reader {
     pos_ += n;
     return true;
   }
-  [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
 
  private:
   std::span<const std::uint8_t> data_;
@@ -78,7 +77,6 @@ struct Header {
   std::uint64_t original_size = 0;
   std::uint64_t batch_count = 0;
   kernels::LzssParams lzss;
-  DedupCodec codec = DedupCodec::kLzss;
 };
 
 Result<Header> read_header(Reader& r) {
@@ -99,10 +97,9 @@ Result<Header> read_header(Reader& r) {
   if (version != kVersion) {
     return DataLoss("unsupported archive version " + std::to_string(version));
   }
-  if (codec > static_cast<std::uint32_t>(DedupCodec::kLzssHuffman)) {
+  if (codec != kCodecLzss) {
     return DataLoss("unknown archive codec " + std::to_string(codec));
   }
-  hdr.codec = static_cast<DedupCodec>(codec);
   if (min_match > (1u << kernels::LzssParams::kOffsetBits)) {
     return DataLoss("implausible LZSS min_match in header");
   }
@@ -114,20 +111,11 @@ Result<Header> read_header(Reader& r) {
 }
 
 /// Validates one unique block's untrusted lengths before anything is
-/// allocated from them: the block must fit its batch, and an entropy-coded
-/// payload's LZSS length must be plausible for the raw length (LZSS adds at
-/// most one flag byte per 8 items plus slack).
+/// allocated from them: the block must fit its batch.
 Status check_block_lengths(std::uint32_t raw_len, std::uint64_t decoded,
                            std::uint32_t original_len) {
   if (raw_len > original_len || decoded + raw_len > original_len) {
     return DataLoss("unique block exceeds its batch size");
-  }
-  return OkStatus();
-}
-
-Status check_lzss_len(std::uint32_t lzss_len, std::uint32_t raw_len) {
-  if (lzss_len > std::uint64_t{raw_len} + raw_len / 8 + 16) {
-    return DataLoss("implausible entropy-coded block length");
   }
   return OkStatus();
 }
@@ -139,7 +127,7 @@ ArchiveWriter::ArchiveWriter(const DedupConfig& config) : config_(config) {
   // -Wstringop-overflow false positive on fresh vectors.
   for (char ch : kMagic) out_.push_back(static_cast<std::uint8_t>(ch));
   put_u32(out_, kVersion);
-  put_u32(out_, static_cast<std::uint32_t>(config.codec));
+  put_u32(out_, kCodecLzss);
   put_u64(out_, 0);  // original size (patched in finish)
   put_u64(out_, 0);  // batch count (patched in finish)
   put_u32(out_, config_.lzss.window_size);
@@ -163,7 +151,7 @@ Status ArchiveWriter::append(const Batch& batch) {
       put_u8(out_, 1);
       put_u64(out_, block.global_id);
     } else {
-      put_u8(out_, block.entropy_coded ? 2 : 0);
+      put_u8(out_, 0);
       put_u32(out_, block.len);
       put_u32(out_, static_cast<std::uint32_t>(block.compressed.size()));
       out_.insert(out_.end(), block.compressed.begin(),
@@ -209,30 +197,16 @@ Result<std::vector<std::uint8_t>> extract(
     for (std::uint32_t k = 0; k < block_count; ++k) {
       std::uint8_t tag = 0;
       if (!r.u8(tag)) return DataLoss("truncated block tag");
-      if (tag == 0 || tag == 2) {
+      if (tag == 0) {
         std::uint32_t raw_len = 0, comp_len = 0;
         std::span<const std::uint8_t> payload;
         if (!r.u32(raw_len) || !r.u32(comp_len) || !r.bytes(comp_len, payload)) {
           return DataLoss("truncated unique block");
         }
         HS_RETURN_IF_ERROR(check_block_lengths(raw_len, decoded, original_len));
-        std::vector<std::uint8_t> block;
-        if (tag == 2) {
-          // Entropy-coded block: u32 lzss_len | huffman(lzss(block)).
-          if (payload.size() < 4) return DataLoss("truncated codec prefix");
-          std::uint32_t lzss_len = 0;
-          for (int i = 0; i < 4; ++i) {
-            lzss_len |= static_cast<std::uint32_t>(payload[i]) << (8 * i);
-          }
-          HS_RETURN_IF_ERROR(check_lzss_len(lzss_len, raw_len));
-          HS_ASSIGN_OR_RETURN(
-              auto lz, kernels::huffman_decode(payload.subspan(4), lzss_len));
-          HS_ASSIGN_OR_RETURN(block,
-                              kernels::lzss_decode(lz, raw_len, hdr.lzss));
-        } else {
-          HS_ASSIGN_OR_RETURN(
-              block, kernels::lzss_decode(payload, raw_len, hdr.lzss));
-        }
+        HS_ASSIGN_OR_RETURN(
+            const std::vector<std::uint8_t> block,
+            kernels::lzss_decode(payload, raw_len, hdr.lzss));
         unique_blocks.emplace_back(out.size(), raw_len);
         out.insert(out.end(), block.begin(), block.end());
         decoded += raw_len;
@@ -292,7 +266,7 @@ Result<ArchiveInfo> inspect(std::span<const std::uint8_t> archive) {
     for (std::uint32_t k = 0; k < block_count; ++k) {
       std::uint8_t tag = 0;
       if (!r.u8(tag)) return DataLoss("truncated block tag");
-      if (tag == 0 || tag == 2) {
+      if (tag == 0) {
         std::uint32_t raw_len = 0, comp_len = 0;
         std::span<const std::uint8_t> payload;
         if (!r.u32(raw_len) || !r.u32(comp_len) ||
@@ -300,7 +274,6 @@ Result<ArchiveInfo> inspect(std::span<const std::uint8_t> archive) {
           return DataLoss("truncated unique block");
         }
         ++info.unique_blocks;
-        if (tag == 2) ++info.entropy_blocks;
         info.compressed_payload_bytes += comp_len;
       } else if (tag == 1) {
         std::uint64_t ref = 0;
@@ -319,7 +292,6 @@ namespace {
 /// One parsed block record for the parallel extractor.
 struct ParsedBlock {
   bool duplicate = false;
-  bool entropy = false;
   std::uint32_t raw_len = 0;
   std::uint64_t ref = 0;
   std::span<const std::uint8_t> payload;  // view into the archive
@@ -370,8 +342,7 @@ Result<std::vector<std::uint8_t>> extract_parallel(
                 if (!r.u64(block.ref)) {
                   throw std::runtime_error("truncated duplicate ref");
                 }
-              } else if (tag == 0 || tag == 2) {
-                block.entropy = tag == 2;
+              } else if (tag == 0) {
                 std::uint32_t comp_len = 0;
                 if (!r.u32(block.raw_len) || !r.u32(comp_len) ||
                     !r.bytes(comp_len, block.payload)) {
@@ -402,31 +373,9 @@ Result<std::vector<std::uint8_t>> extract_parallel(
               for (std::size_t k = 0; k < batch.blocks.size(); ++k) {
                 const ParsedBlock& block = batch.blocks[k];
                 if (block.duplicate) continue;
-                std::span<const std::uint8_t> payload = block.payload;
                 Result<std::vector<std::uint8_t>> decoded =
-                    DataLoss("unreachable");
-                if (block.entropy) {
-                  if (payload.size() < 4) {
-                    throw std::runtime_error("truncated codec prefix");
-                  }
-                  std::uint32_t lzss_len = 0;
-                  for (int i = 0; i < 4; ++i) {
-                    lzss_len |= static_cast<std::uint32_t>(payload[i])
-                                << (8 * i);
-                  }
-                  if (Status s = check_lzss_len(lzss_len, block.raw_len);
-                      !s.ok()) {
-                    throw std::runtime_error(s.ToString());
-                  }
-                  auto lz =
-                      kernels::huffman_decode(payload.subspan(4), lzss_len);
-                  if (!lz.ok()) throw std::runtime_error(lz.status().ToString());
-                  decoded = kernels::lzss_decode(lz.value(), block.raw_len,
-                                                 header.lzss);
-                } else {
-                  decoded = kernels::lzss_decode(payload, block.raw_len,
-                                                 header.lzss);
-                }
+                    kernels::lzss_decode(block.payload, block.raw_len,
+                                         header.lzss);
                 if (!decoded.ok()) {
                   throw std::runtime_error(decoded.status().ToString());
                 }

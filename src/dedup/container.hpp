@@ -1,7 +1,7 @@
 // Archive container for deduplicated + LZSS-compressed streams.
 //
 // Layout (little-endian):
-//   header : magic "HSDEDUP1" | u32 version | u32 reserved |
+//   header : magic "HSDEDUP1" | u32 version | u32 codec (0 = LZSS) |
 //            u64 original_size | u64 batch_count |
 //            u32 lzss_window | u32 lzss_min_match
 //   batch  : u64 index | u32 original_len | u32 block_count | blocks...
@@ -60,7 +60,6 @@ struct ArchiveInfo {
   std::uint64_t batch_count = 0;
   std::uint64_t unique_blocks = 0;
   std::uint64_t duplicate_blocks = 0;
-  std::uint64_t entropy_blocks = 0;  ///< unique blocks with entropy coding
   std::uint64_t compressed_payload_bytes = 0;
 };
 

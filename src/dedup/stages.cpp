@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "kernels/huffman.hpp"
 #include "kernels/simd/rabin_lanes.hpp"
 #include "kernels/simd/sha1_mb.hpp"
 
@@ -129,41 +128,12 @@ std::uint64_t batch_sha1_rounds(const Batch& batch) {
   return rounds;
 }
 
-namespace {
-
-/// Applies the configured entropy stage over the LZSS payload already in
-/// block.compressed, keeping whichever representation is smaller
-/// (per-block best-of: the 132-byte table+prefix overhead makes entropy
-/// coding a loss for small or already-dense blocks). Sets
-/// block.entropy_coded accordingly.
-void finish_payload(const DedupConfig& config, BlockInfo& block) {
-  block.entropy_coded = false;
-  if (config.codec != DedupCodec::kLzssHuffman) return;
-  // Prefix the LZSS layer's size (little-endian u32) so the extractor
-  // knows how much the entropy layer decodes to.
-  auto huff = kernels::huffman_encode(block.compressed.span());
-  if (4 + huff.size() < block.compressed.size()) {
-    std::uint32_t n = static_cast<std::uint32_t>(block.compressed.size());
-    PooledBuffer out;
-    out.reserve(4 + huff.size());
-    for (int i = 0; i < 4; ++i) {
-      out.push_back(static_cast<std::uint8_t>(n >> (8 * i)));
-    }
-    out.append(huff.data(), huff.size());
-    block.compressed = std::move(out);
-    block.entropy_coded = true;
-  }
-}
-
-}  // namespace
-
 void compress_blocks_cpu(Batch& batch, const DedupConfig& config) {
   for (BlockInfo& block : batch.blocks) {
     if (block.duplicate) continue;
     kernels::lzss_encode(batch.data.span(), block.start,
                          block.start + block.len, config.lzss,
                          block.compressed);
-    finish_payload(config, block);
   }
 }
 
@@ -182,7 +152,6 @@ void compress_blocks_from_matches(Batch& batch, const DedupConfig& config) {
     kernels::lzss_encode_from_matches(batch.data.span(), block.start,
                                       block.start + block.len, batch.matches,
                                       config.lzss, block.compressed);
-    finish_payload(config, block);
   }
 }
 

@@ -24,20 +24,11 @@
 
 namespace hs::dedup {
 
-/// Block payload codec. kLzss is the paper's choice; kLzssHuffman layers a
-/// canonical-Huffman entropy stage over the LZSS output (restoring the
-/// missing half of PARSEC's gzip/bzip2, as an extension).
-enum class DedupCodec : std::uint8_t {
-  kLzss = 0,
-  kLzssHuffman = 1,
-};
-
 struct DedupConfig {
   /// Fixed batch size (the paper's 1 MB; benches scale it).
   std::uint32_t batch_size = 1024 * 1024;
   kernels::RabinParams rabin;
   kernels::LzssParams lzss;
-  DedupCodec codec = DedupCodec::kLzss;
 
   DedupConfig() {
     // Defaults tuned for tractable functional runs: ~2-16 kB blocks and a
@@ -66,9 +57,6 @@ struct BlockInfo {
   /// earlier run or earlier in this one). Telemetry only — never consulted
   /// by the archive writer, so attaching a store cannot change the bytes.
   bool store_hit = false;
-  /// kLzssHuffman mode: true when the entropy stage beat plain LZSS for
-  /// this block (payload = u32 lzss_len | huffman(lzss)).
-  bool entropy_coded = false;
   /// Global id: for unique blocks, the id this block defines; for
   /// duplicates, the id of the first occurrence.
   std::uint64_t global_id = 0;

@@ -5,6 +5,7 @@
 // full_mesh(1) call produce the same numbers bit for bit.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -13,6 +14,7 @@
 #include "cluster/makespan.hpp"
 #include "cluster/modeled.hpp"
 #include "cluster/shard.hpp"
+#include "common/rng.hpp"
 #include "datagen/corpus.hpp"
 #include "dedup/dup_store.hpp"
 #include "dedup/stages.hpp"
@@ -88,6 +90,129 @@ TEST(TopologyTest, RejectsSelfLinkAndDuplicateNode) {
   EXPECT_FALSE(parse_topology("node a\nnode a\n").ok());
   EXPECT_FALSE(parse_topology("").ok());
   EXPECT_FALSE(parse_topology("node a cores=0\n").ok());
+}
+
+// Spec lines the parser once accepted: an int that wrapped into range
+// (4294967297 GPUs read as 1), non-finite or overflowing link numbers, and
+// a repeated attribute where the last value silently won.
+TEST(TopologyTest, RejectsWrappedNonFiniteAndRepeatedValues) {
+  const std::string nodes = "node a\nnode b\n";
+  const auto rejects = [](const std::string& spec, std::string_view what) {
+    auto topo = parse_topology(spec);
+    ASSERT_FALSE(topo.ok()) << spec;
+    EXPECT_EQ(topo.status().code(), ErrorCode::kInvalidArgument);
+    EXPECT_NE(topo.status().message().find(what), std::string::npos)
+        << spec << " -> " << topo.status().ToString();
+  };
+  rejects("node a gpus=4294967297\n", "bad gpus value");
+  rejects("node a cores=99999999999999999999\n", "bad cores value");
+  rejects("node a gpus=65\n", "gpus must be in [0, 64]");
+  rejects(nodes + "link a b bw=1GB lat=nan\n", "bad lat value");
+  rejects(nodes + "link a b bw=inf lat=1us\n", "bad bw value");
+  rejects(nodes + "link a b bw=1e308GB lat=1us\n", "bad bw value");
+  rejects(nodes + "link a b bw=1GB lat=1e308\n", "latency must be in");
+  rejects(nodes + "link a b bw=0.5 lat=1us\n", "bandwidth must be finite");
+  rejects("node a cores=1 cores=5\n", "repeated node attribute 'cores=5'");
+  rejects(nodes + "link a b bw=1GB lat=1us bw=2GB\n",
+          "repeated link attribute 'bw=2GB'");
+  rejects(nodes + "link a b bw=1GB half lat=1us half\n",
+          "repeated link attribute 'half'");
+  auto most = parse_topology("node a cores=2147483647 gpus=64\n");
+  ASSERT_TRUE(most.ok()) << most.status().ToString();
+  EXPECT_EQ(most.value().nodes[0].cores, 2147483647);
+  EXPECT_EQ(most.value().nodes[0].gpus.size(), 64u);
+}
+
+/// Writes a topology back in spec form (%.17g keeps doubles exact).
+std::string to_spec(const Topology& topo) {
+  std::string out;
+  char buf[128];
+  for (const NodeSpec& n : topo.nodes) {
+    std::snprintf(buf, sizeof buf, " cores=%d gpus=%zu\n", n.cores,
+                  n.gpus.size());
+    out += "node " + n.name + buf;
+  }
+  for (const LinkSpec& l : topo.links) {
+    std::snprintf(buf, sizeof buf, " bw=%.17g lat=%.17g%s\n",
+                  l.bandwidth_bytes_per_s, l.latency_s,
+                  l.full_duplex ? "" : " half");
+    out += "link " + l.a + " " + l.b + buf;
+  }
+  return out;
+}
+
+// Seeded token/byte mutations of valid specs: each must fail with
+// InvalidArgument, or parse to a topology inside every bound that writes
+// back to a spec parsing to the same topology.
+TEST(TopologyTest, ParserSurvivesFuzz) {
+  static const std::vector<std::string> kValid = {
+      "node a cores=16 gpus=2\nnode b cores=8 gpus=0\n"
+      "link a b bw=10GB lat=5us half\n",
+      "# mesh\nnode n0\nnode n1 gpus=1\nnode n2\n"
+      "link n0 n1 bw=12.5GB lat=2us\nlink n1 n2 bw=1.25GB lat=20us\n",
+      "node x cores=4 gpus=4\n"};
+  static const std::vector<std::string> kNasty = {
+      "", "0", "-1", "1", "64", "65", "2147483647", "2147483648",
+      "4294967297", "99999999999999999999", "nan", "inf", "-inf", "1e308",
+      "1e-300", "0x10", "+3", "1.5", "3600", "3600.5", "GB", "us", "=",
+      "cores=1", "gpus=3", "bw=1KB", "lat=1ms", "half", "node", "link", "#",
+      "a", "b"};
+  static constexpr std::string_view kBytes = "0123456789=.e-+ \n#abGBKMsmun";
+  const auto fuzz_spec = [](Xoshiro256& rng) {
+    const auto pick = [&rng](const auto& v) -> const auto& {
+      return v[rng.bounded(v.size())];
+    };
+    std::string spec = pick(kValid);
+    for (std::uint64_t n = rng.range(1, 3); n > 0; --n) {
+      const std::size_t at = rng.bounded(spec.size() + 1);
+      switch (rng.bounded(3)) {
+        case 0: {  // replace the next attribute value
+          const std::size_t eq = spec.find('=', at);
+          if (eq == std::string::npos) break;
+          const std::size_t end = std::min(spec.find_first_of(" \n", eq),
+                                           spec.size());
+          spec.replace(eq + 1, end - eq - 1, pick(kNasty));
+          break;
+        }
+        case 1:  // insert a token
+          spec.insert(at, " " + pick(kNasty) + " ");
+          break;
+        case 2:  // insert a byte
+          spec.insert(spec.begin() + static_cast<long>(at),
+                      rng.chance(0.8) ? kBytes[rng.bounded(kBytes.size())]
+                                      : static_cast<char>(rng.bounded(256)));
+          break;
+      }
+    }
+    return spec;
+  };
+
+  Xoshiro256 rng(1);
+  int accepted = 0;
+  for (int i = 0; i < 20000 && !HasFailure(); ++i) {
+    const std::string spec = fuzz_spec(rng);
+    SCOPED_TRACE("case " + std::to_string(i) + ": " + spec);
+    auto topo = parse_topology(spec);
+    if (!topo.ok()) {
+      EXPECT_EQ(topo.status().code(), ErrorCode::kInvalidArgument);
+      continue;
+    }
+    for (const NodeSpec& n : topo.value().nodes) {
+      EXPECT_GT(n.cores, 0);
+      EXPECT_LE(n.gpus.size(), 64u);
+    }
+    for (const LinkSpec& l : topo.value().links) {
+      EXPECT_TRUE(std::isfinite(l.bandwidth_bytes_per_s) &&
+                  l.bandwidth_bytes_per_s >= 1.0);
+      EXPECT_TRUE(l.latency_s >= 0 && l.latency_s <= 3600.0);
+    }
+    const std::string back = to_spec(topo.value());
+    auto again = parse_topology(back);
+    ASSERT_TRUE(again.ok()) << back << " -> " << again.status().ToString();
+    EXPECT_EQ(to_spec(again.value()), back);
+    ++accepted;
+  }
+  EXPECT_GT(accepted, 1000);  // seed 1 accepts 1268 of the 20000
 }
 
 TEST(TopologyTest, RoutesChainMultiHop) {

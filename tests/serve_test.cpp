@@ -708,13 +708,38 @@ TEST(ServiceTest, QueuedQuotaRejectsBeforeSharedCapacity) {
   cfg.tenant_queue_capacity = 64;
   cfg.shed_watermark = 1.0;
   cfg.tenant_quota_queued = 2;
+  // Flow queues of 2 (the minimum) bound what the pipeline can take off
+  // the tenant queues while the worker is busy; see the filler phase.
+  cfg.queue_capacity = 2;
+  // The blocker and fillers have their own tenant, queued before "hog"
+  // has any job; its weight keeps the drain rotation on it while it has
+  // queued jobs, so the source takes every filler before any "hog" job.
+  cfg.tenant_weights = {{"filler", 8}};
   cfg.registry = &reg;
   Service service(nullptr, cfg);
   ASSERT_TRUE(service.start().ok());
-  // Park the single worker on a long job so later submissions stay queued.
-  auto blocker = service.submit("hog", synthetic_job(150'000'000));
+  // Park the single worker on a long job, and wait until it has taken the
+  // job (so no later item rides in the worker's input burst).
+  auto blocker = service.submit("filler", synthetic_job(300'000'000));
   ASSERT_TRUE(blocker.accepted());
-  wait_for_empty_backlog(service);
+  const telemetry::Counter* worker_items = reg.counter("serve.exec.w0.items");
+  for (int i = 0; i < 2000 && worker_items->value() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(worker_items->value(), 1u);
+  // Fill the pipeline so the source cannot take "hog" jobs off their
+  // queue. While the worker runs the blocker, the source can pop at most
+  // 7 jobs: 2 in the worker's input queue, a burst of up to 2 held by the
+  // farm emitter, 2 in the emitter's input queue and 1 in the source's
+  // hand. At least 5 always fit (the two queues and the source's hand),
+  // so five fillers are each taken; two more fillers, queued before any
+  // hog job, cover the last 2 pops.
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(service.submit("filler", synthetic_job(1000), false).accepted());
+    wait_for_empty_backlog(service);
+  }
+  ASSERT_TRUE(service.submit("filler", synthetic_job(1000), false).accepted());
+  ASSERT_TRUE(service.submit("filler", synthetic_job(1000), false).accepted());
   // Two queued jobs fill the quota; the third is a quota reject — a
   // distinct code from overload, with plenty of shared capacity left.
   ASSERT_TRUE(service.submit("hog", synthetic_job(1000), false).accepted());
