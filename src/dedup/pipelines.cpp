@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstring>
-#include <map>
 #include <optional>
 
 #include "cudax/cudax.hpp"
@@ -59,44 +58,6 @@ std::size_t archive_reserve_bytes(std::size_t input_size) {
   return input_size + input_size / 8 + input_size / 64 + 4096;
 }
 
-/// Serial duplicate-check stage for the unordered-hash variant: batches
-/// arrive in hash-completion order, but the container format requires
-/// stream order here (unique blocks are numbered in stream order and a
-/// duplicate must reference an id the decoder has already materialized).
-/// Out-of-order batches wait in a small buffer keyed by source index; each
-/// arrival drains every consecutive ready batch, so the stage emits the
-/// exact sequence the ordered variant would and the archive stays
-/// byte-identical.
-class ReorderingDupCheck final : public flow::Node {
- public:
-  explicit ReorderingDupCheck(DupCache* cache) : cache_(cache) {}
-
-  flow::SvcResult svc(flow::Item in) override {
-    Batch batch = in.take<Batch>();
-    pending_.emplace(batch.index, std::move(batch));
-    flow::SvcResult out = flow::SvcResult::GoOn();
-    for (auto it = pending_.find(next_); it != pending_.end();
-         it = pending_.find(next_)) {
-      Batch ready = std::move(it->second);
-      pending_.erase(it);
-      ++next_;
-      cache_->check(ready);
-      // Flush the previously drained batch before holding this one so the
-      // emission order stays monotone in source index.
-      if (out.kind == flow::SvcResult::Kind::kItem) {
-        (void)emit(std::move(out.item));
-      }
-      out = flow::SvcResult::Out(flow::Item::of<Batch>(std::move(ready)));
-    }
-    return out;
-  }
-
- private:
-  DupCache* cache_;
-  std::uint64_t next_ = 0;
-  std::map<std::uint64_t, Batch> pending_;
-};
-
 }  // namespace
 
 Result<std::vector<std::uint8_t>> archive_sequential(
@@ -126,42 +87,26 @@ Result<std::vector<std::uint8_t>> archive_spar_cpu(
   BatchPool pool;
   Status append_status;
 
-  // Both hot stages lower to farms regardless of worker count. The hash
-  // farm may run unordered + least-loaded (opt-in); the compress farm is
-  // always ordered so the writer appends batches in stream order.
-  spar::StageOptions hash_opts;
-  hash_opts.force_farm = true;
-  if (!options.hash_ordered) {
-    hash_opts.ordered = false;
-    hash_opts.policy = flow::SchedPolicy::kLeastLoaded;
-  }
-  spar::StageOptions compress_opts;
-  compress_opts.force_farm = true;
-  compress_opts.ordered = true;
+  // Both hot stages lower to (ordered) farms regardless of worker count,
+  // so the writer appends batches in stream order.
+  spar::StageOptions farm_opts;
+  farm_opts.force_farm = true;
 
   spar::ToStream region("dedup");
   region.source<Batch>(BatchSource(input, config, &pool));
-  region.stage<Batch, Batch>(spar::Replicate(options.workers_hash), hash_opts,
+  region.stage<Batch, Batch>(spar::Replicate(options.workers_hash), farm_opts,
                              [store = options.store](Batch batch) {
                                hash_blocks(batch, store);
                                return batch;
                              });
-  // The serial duplicate check is the ordering pivot: the container format
-  // numbers unique blocks in stream order, so this stage must consume
-  // batches in source order. With an ordered hash farm that is already
-  // true; the unordered variant restores it here with a reorder buffer.
-  if (options.hash_ordered) {
-    region.stage<Batch, Batch>([&cache](Batch batch) {
-      cache.check(batch);
-      return batch;
-    });
-  } else {
-    region.stage_nodes(spar::Replicate(1), [&cache] {
-      return std::make_unique<ReorderingDupCheck>(&cache);
-    });
-  }
+  // The serial duplicate check consumes batches in source order: the
+  // container format numbers unique blocks in stream order.
+  region.stage<Batch, Batch>([&cache](Batch batch) {
+    cache.check(batch);
+    return batch;
+  });
   region.stage<Batch, Batch>(spar::Replicate(options.workers_compress),
-                             compress_opts, [config](Batch batch) {
+                             farm_opts, [config](Batch batch) {
                                compress_blocks_cpu(batch, config);
                                return batch;
                              });
@@ -170,9 +115,7 @@ Result<std::vector<std::uint8_t>> archive_spar_cpu(
     if (!s.ok() && append_status.ok()) append_status = s;
     pool.release(std::move(batch));
   });
-  spar::Options run_opts;
-  run_opts.pin = options.pin;
-  HS_RETURN_IF_ERROR(region.run(run_opts));
+  HS_RETURN_IF_ERROR(region.run());
   if (!append_status.ok()) return append_status;
   return writer.finish(input_digest(input));
 }
@@ -345,7 +288,8 @@ class CudaStageContext {
 
  private:
   /// Binds to the first surviving device at or after `hint`. A device that
-  /// dies during setup is skipped; false means CPU-only from here on.
+  /// dies during setup is skipped (and, in adaptive mode, excluded
+  /// tracker-wide); false means CPU-only from here on.
   bool try_setup(int hint) {
     int start = hint < 0 ? 0 : hint;
     while (true) {
@@ -359,6 +303,7 @@ class CudaStageContext {
         return true;
       }
       if (s.code() == ErrorCode::kUnavailable) {
+        if (tracker_ != nullptr) tracker_->exclude(d);
         start = d + 1;
         continue;
       }

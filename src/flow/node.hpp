@@ -6,8 +6,8 @@
 // items mid-svc (FastFlow's ff_send_out).
 #pragma once
 
+#include <cassert>
 #include <cstdint>
-#include <string>
 #include <utility>
 
 #include "flow/item.hpp"
@@ -46,16 +46,6 @@ class OutPort {
  public:
   virtual ~OutPort() = default;
   virtual bool send(Item item) = 0;
-};
-
-/// Per-node execution statistics (wall time, not modeled time).
-struct NodeStats {
-  std::uint64_t items_in = 0;
-  std::uint64_t items_out = 0;
-  /// Items this stage skipped (forwarded unserviced) because their deadline
-  /// had already passed when they reached the stage boundary.
-  std::uint64_t deadline_drops = 0;
-  double busy_seconds = 0;
 };
 
 /// Base class for user stages. Subclass and implement svc(); or use the

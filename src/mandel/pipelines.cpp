@@ -334,7 +334,8 @@ class CudaLineWorker final : public flow::Node {
 
   /// Binds this thread to the first surviving device at or after `hint` and
   /// allocates the row buffer there. A device that dies during setup is
-  /// skipped; returns false when no device can be set up (CPU mode).
+  /// skipped (and, in adaptive mode, excluded tracker-wide); returns false
+  /// when no device can be set up (CPU mode).
   bool try_setup(int hint) {
     int start = hint < 0 ? 0 : hint;
     while (true) {
@@ -348,7 +349,8 @@ class CudaLineWorker final : public flow::Node {
         return true;
       }
       if (s.code() == ErrorCode::kUnavailable) {
-        start = d + 1;  // that device is lost now; try the next survivor
+        if (tracker_ != nullptr) tracker_->exclude(d);
+        start = d + 1;
         continue;
       }
       return false;  // persistent non-loss failure: degrade to CPU

@@ -100,17 +100,13 @@ int ToStream::thread_count() const {
   return n;
 }
 
-Status ToStream::run(const Options& options) {
+Status ToStream::run() {
   if (ran_) return FailedPrecondition("[spar] region already executed");
   if (Status s = check(); !s.ok()) return s;
   ran_ = true;
 
   flow::PipelineOptions popts;
-  popts.queue_capacity = options.queue_capacity;
-  popts.wait_mode =
-      options.blocking ? flow::WaitMode::kBlocking : flow::WaitMode::kSpin;
-  popts.telemetry = options.telemetry;
-  popts.pin = options.pin;
+  popts.wait_mode = flow::WaitMode::kBlocking;
 
   flow::Pipeline pipe(popts);
   pipe.add_stage(std::move(source_), name_ + ".source");
@@ -120,8 +116,7 @@ Status ToStream::run(const Options& options) {
     if (s.lowers_to_farm()) {
       flow::FarmOptions fopts;
       fopts.replicas = s.replicas;
-      fopts.ordered = s.opts.ordered.value_or(options.ordered);
-      fopts.policy = s.opts.policy.value_or(options.policy);
+      fopts.ordered = true;
       pipe.add_farm(std::move(s.factory), fopts, sname);
     } else {
       pipe.add_stage(s.factory(), sname);

@@ -8,10 +8,14 @@
 //
 // We reproduce that *lowering* as an embedded builder: the same five
 // concepts, declared as typed calls in region order, validated with
-// SPar-compiler-style diagnostics, then compiled onto the flow runtime
-// (pipeline + ordered farms) — the exact structure SPar generates. The
-// graph_description() string is the analogue of inspecting SPar's
-// generated FastFlow code, and is what the lowering tests assert on.
+// SPar-compiler-style diagnostics, then compiled onto the flow runtime —
+// the exact structure SPar generates with -spar_ordered -spar_blocking:
+// a pipeline whose replicated stages are ordered round-robin farms, run
+// in the runtime's blocking wait mode. The graph_description() string is
+// the analogue of inspecting SPar's generated FastFlow code, and is what
+// the lowering tests assert on. Telemetry follows the process-wide
+// switch: under telemetry::set_enabled(true) stage metrics appear under
+// the region's stage names ("flow.<name>.stageN.svc_ns" etc.).
 //
 //   spar::ToStream region("mandel");
 //   region.source<Line>([&]() -> std::optional<Line> { ... });
@@ -55,29 +59,8 @@ struct Input {};
 template <typename... Ts>
 struct Output {};
 
-/// Region-level options. `ordered` mirrors SPar's -spar_ordered flag
-/// (stream order preserved through replicated stages); `blocking` mirrors
-/// -spar_blocking (suspending waits instead of pure busy-wait).
-struct Options {
-  bool ordered = true;
-  bool blocking = true;
-  std::size_t queue_capacity = 512;
-  flow::SchedPolicy policy = flow::SchedPolicy::kRoundRobin;
-  /// Telemetry sinks passed through to the lowered flow::Pipeline. Left
-  /// inactive, the runtime falls back to the process-wide singletons when
-  /// telemetry::set_enabled(true) — stage metrics then appear under the
-  /// region's stage names ("flow.<name>.stageN.svc_ns" etc.).
-  telemetry::StreamInstrumentation telemetry;
-  /// Core affinity for the lowered pipeline's threads (off by default).
-  flow::PinPolicy pin;
-};
-
-/// Per-stage lowering overrides. Region-level Options still set the
-/// defaults; a stage declared with StageOptions can deviate — e.g. an
-/// unordered least-loaded farm inside an otherwise ordered region.
+/// Per-stage lowering options.
 struct StageOptions {
-  std::optional<bool> ordered;               ///< override Options::ordered
-  std::optional<flow::SchedPolicy> policy;   ///< override Options::policy
   /// Lower to an emitter/worker/collector farm even with Replicate(1):
   /// same items in the same order, at the cost of two extra threads. Used
   /// when a stage's farm shape (scheduling, ordering, queue telemetry)
@@ -165,7 +148,7 @@ class ToStream {
   [[nodiscard]] int thread_count() const;
 
   /// Compiles to the flow runtime and executes to completion. Single-shot.
-  Status run(const Options& options = {});
+  Status run();
 
   /// Every stage failure the lowered pipeline recorded, in observation
   /// order; valid after run() (empty before, and on clean runs). run()'s

@@ -44,6 +44,9 @@ TEST_F(PipelineEquivalenceTest, FlowMatchesSequential) {
   auto r = render_flow(params_, 4);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value(), reference_);
+  // No workers is an error, not a blank image.
+  EXPECT_EQ(render_flow(params_, 0).status().code(),
+            ErrorCode::kInvalidArgument);
 }
 
 TEST_F(PipelineEquivalenceTest, TaskxMatchesSequential) {

@@ -378,6 +378,34 @@ TEST(SchedFunctionalTest, DeviceLossDrainsThroughSurvivorBitExactly) {
   EXPECT_EQ(tracker.snapshot(1).inflight, 0);
 }
 
+TEST(SchedFunctionalTest, DeviceLostDuringSetupIsExcluded) {
+  // Device 0 dies at its first operation, which is always the row
+  // allocation of a worker's setup: the loss surfaces inside setup, never
+  // at a launch, and must still exclude the device tracker-wide.
+  kernels::MandelParams params;
+  params.dim = 64;
+  params.niter = 100;
+  const auto reference = mandel::render_sequential(params);
+
+  auto machine = gpusim::Machine::Create(2, gpusim::DeviceSpec::TitanXP());
+  gpusim::FaultPlan plan;
+  plan.lose_device_at(1);
+  machine->device(0).set_fault_plan(std::move(plan));
+  cudax::bind_machine(machine.get());
+  DeviceLoadTracker tracker(machine->device_count());
+  auto r = mandel::render_spar_cuda(params, 4, *machine, nullptr, {},
+                                    &tracker);
+  cudax::unbind_machine();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value(), reference);
+  EXPECT_TRUE(machine->device(0).lost());
+  EXPECT_EQ(machine->device(0).counters().kernels_launched, 0u);
+  EXPECT_TRUE(tracker.is_excluded(0));
+  EXPECT_FALSE(tracker.is_excluded(1));
+  EXPECT_EQ(tracker.snapshot(0).inflight, 0);
+  EXPECT_EQ(tracker.snapshot(1).inflight, 0);
+}
+
 TEST(SchedFunctionalTest, FaultsAndAdaptiveSchedWithAimdProbingStayBitExact) {
   // The combined regime the serve soak runs in: fault injection (including
   // a device loss) and the adaptive scheduler active at the same time,

@@ -4,6 +4,7 @@
 // queue-depth sampler lifecycle, and the zero-allocation hot-path contract.
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -653,8 +654,25 @@ TEST(PipelineIntegrationTest, FlowPipelineReportsMetricsAndSpans) {
   flow::PipelineOptions opts;
   opts.telemetry = {&reg, &rec, &sampler, "it"};
   flow::Pipeline pipe(opts);
+  // The first item waits until two more sampler sweeps have completed. The
+  // pipeline registered its channels before starting the source, so at
+  // least one full sweep sampled them and the depth histograms exist. The
+  // wait is bounded: a stuck sampler fails the test instead of hanging it.
+  bool sampled = false;
   pipe.add_stage(flow::make_source<int>(
-                     [i = 0]() mutable -> std::optional<int> {
+                     [i = 0, &sampler, &sampled]() mutable
+                     -> std::optional<int> {
+                       if (i == 0) {
+                         const std::uint64_t base = sampler.sweeps();
+                         const auto give_up = std::chrono::steady_clock::now() +
+                                              std::chrono::seconds(10);
+                         while (sampler.sweeps() < base + 2 &&
+                                std::chrono::steady_clock::now() < give_up) {
+                           std::this_thread::sleep_for(
+                               std::chrono::microseconds(100));
+                         }
+                         sampled = sampler.sweeps() >= base + 2;
+                       }
                        return i < kItems ? std::optional<int>(i++)
                                          : std::nullopt;
                      }),
@@ -666,6 +684,7 @@ TEST(PipelineIntegrationTest, FlowPipelineReportsMetricsAndSpans) {
   ASSERT_TRUE(pipe.run_and_wait().ok());
   sampler.stop();
 
+  EXPECT_TRUE(sampled) << "sampler made no two sweeps within 10 s";
   EXPECT_EQ(sum, static_cast<long long>(kItems) * (kItems - 1));
 
   MetricsSnapshot snap = reg.snapshot();
